@@ -2,8 +2,8 @@
  * @file
  * The reactor-driven jcached TCP front end.
  *
- * AsyncServer replaces the thread-per-connection Server with a single
- * event-loop thread: every connection is a nonblocking socket
+ * AsyncServer runs the daemon's connections on a single event-loop
+ * thread: every connection is a nonblocking socket
  * registered with a net::Reactor, reads feed a per-connection
  * FrameDecoder, and each decoded frame is dispatched through
  * Service::handleAsync() without ever blocking the loop.  Requests on
@@ -12,16 +12,17 @@
  * request order via a per-connection slot queue, whatever order the
  * scheduler completes them in.
  *
- * Job execution is unchanged: handleAsync() routes run/sweep/batch/
- * upload through the same bounded queue and admission controller as
- * the blocking path, so the overload contract (busy + retry_after_ms,
- * CoDel shed, deadline_exceeded) is identical between front ends.
- * Completions hop back to the loop thread through Reactor::post().
+ * handleAsync() routes run/sweep/batch/upload through the same
+ * bounded queue and admission controller as the in-process
+ * Service::handle(), so the overload contract (busy +
+ * retry_after_ms, CoDel shed, deadline_exceeded) is the same for
+ * both.  Completions hop back to the loop thread through
+ * Reactor::post().
  *
- * The protocol-robustness contract matches the threaded server: an
- * oversized or truncated frame is answered best-effort (after any
- * in-flight responses, preserving order) and closes only that
- * connection; shutdown — requestStop() or an in-band `shutdown`
+ * Protocol robustness: an oversized or truncated frame is answered
+ * best-effort (after any in-flight responses, preserving order) and
+ * closes only that connection, and a misbehaving client never costs
+ * the daemon; shutdown — requestStop() or an in-band `shutdown`
  * request — stops accepting, answers frames already received, and
  * drains within a bounded grace period.
  */
@@ -54,8 +55,7 @@ struct AsyncServerConfig
     /**
      * Connection idle timeout in milliseconds: a connection with no
      * in-flight requests and no traffic for this long is closed.
-     * Unlike the threaded server's per-read timeout, time spent
-     * waiting on a queued job never counts as idle.
+     * Time spent waiting on a queued job never counts as idle.
      */
     unsigned connectionTimeoutMillis = 30000;
 

@@ -609,9 +609,9 @@ std::string
 Service::handle(const std::string& request_json)
 {
     // The blocking shape, rebuilt over the async one: park this
-    // thread until the completion fires.  Thread-per-connection
-    // transports and tests keep their call-and-wait contract; only
-    // the reactor uses handleAsync directly.
+    // thread until the completion fires.  In-process callers and
+    // tests keep their call-and-wait contract; the reactor uses
+    // handleAsync directly.
     std::mutex done_mutex;
     std::condition_variable done_cv;
     bool finished = false;

@@ -13,7 +13,7 @@
  *    API minor), so a repeated point is served without replay — and,
  *    when ServiceConfig::storeDir is set, a persistent ResultStore
  *    underneath it, so results survive restarts and are shared with
- *    `jcache-sweep --incremental`;
+ *    `jcache-sweep --store-dir`;
  *  - a bounded job queue drained by one scheduler thread that hands
  *    each simulation to the unified engine API (sim::runBatch) — the
  *    queue bounds backlog (overload answers `busy` immediately
@@ -233,8 +233,8 @@ struct ServiceConfig
 /**
  * Transport-independent request processor.
  *
- * handle() is safe to call from any number of connection threads
- * concurrently; simulation jobs are serialized through the scheduler
+ * handle() and handleAsync() are safe to call from any number of
+ * threads concurrently; simulation jobs are serialized through the scheduler
  * thread and parallelized inside each job by the executor.
  */
 class Service
@@ -251,8 +251,8 @@ class Service
     /**
      * Process one request document and return the response document.
      * Never throws: malformed input produces an `ok: false` response.
-     * A blocking wrapper over handleAsync() for thread-per-connection
-     * transports and tests.
+     * A blocking wrapper over handleAsync() for in-process callers
+     * and tests.
      */
     std::string handle(const std::string& request_json);
 

@@ -3,7 +3,7 @@
  * The unified simulation entry point: Request in, Result out.
  *
  * Every caller that wants a replay — the CLI tools, the jcached
- * service, the figure experiments, checkpoint resume — goes through
+ * service, the figure experiments, store-backed sweeps — goes through
  * runOne() / runBatch().  Callers describe *what* to simulate (a
  * Request names a trace, a configuration and the end-of-run flush
  * choice); the engine decides *how*:

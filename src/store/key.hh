@@ -20,7 +20,7 @@
  *
  * Every tier keys by the same derivation: the in-memory ResultCache,
  * the on-disk ResultStore, the jcached request handlers and
- * `jcache-sweep --incremental` all call these functions, which is
+ * `jcache-sweep --store-dir` all call these functions, which is
  * what lets a daemon restart or an offline sweep reuse each other's
  * work.
  */

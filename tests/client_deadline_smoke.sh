@@ -8,7 +8,10 @@
 #
 #   1. against a *closed* port (instant ECONNREFUSED, so the attempt
 #      counter alone would allow 50 tries x growing backoff), the
-#      budget stops the loop in ~1.5s with a "deadline budget" error
+#      budget stops the loop in ~1.5s with a "deadline budget" error,
+#      after no more attempts than the jittered 100 ms doubling
+#      backoff fits into 1.5s (at most 6): the last sleep must not
+#      wake early and spin on refused connects
 #   2. against a *stopped* daemon (connections land in the accept
 #      backlog and never get answered, so every attempt burns its
 #      read timeout), the budget still holds; attempt timeouts are
@@ -68,7 +71,12 @@ ELAPSED=$(( $(date +%s) - BEGIN ))
     || fail "budget of 1.5s let the client spin for ${ELAPSED}s"
 grep -q "deadline budget" "$WORKDIR/refused.err" \
     || fail "no deadline-budget error: $(cat "$WORKDIR/refused.err")"
-echo "client_deadline_smoke: closed port gave up in ${ELAPSED}s"
+ATTEMPTS=$(sed -n 's/.*exhausted after \([0-9]*\) attempt.*/\1/p' \
+    "$WORKDIR/refused.err")
+[ -n "$ATTEMPTS" ] && [ "$ATTEMPTS" -le 6 ] \
+    || fail "closed port took '$ATTEMPTS' attempts, expected at most 6"
+echo "client_deadline_smoke: closed port gave up in ${ELAPSED}s" \
+    "after $ATTEMPTS attempts"
 
 # Phase 2: a daemon that accepts but never answers (SIGSTOP keeps the
 # listener's backlog open while nothing reads the requests).

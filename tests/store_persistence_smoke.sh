@@ -6,8 +6,8 @@
 #   1. a cold jcache-sweep pass over the fig 13-16 grid (the four
 #      write-miss policies x the size and line axes, write-through)
 #      populates the store;
-#   2. repeating every sweep with --incremental simulates 0 cells and
-#      prints tables byte-identical to the cold pass;
+#   2. repeating every sweep over the same --store-dir simulates 0
+#      cells and prints tables byte-identical to the cold pass;
 #   3. a jcached restarted over the same --store-dir serves a run it
 #      never computed in-process: the store hit counter goes nonzero
 #      and the rendered table is byte-identical across the restart.
@@ -47,11 +47,11 @@ done
 [ -d "$STORE/objects" ] || fail "cold pass created no store"
 echo "store_persistence_smoke: cold pass populated the store"
 
-# 2. Warm incremental pass: zero simulation, identical bytes.
+# 2. Warm pass: zero simulation, identical bytes.
 for miss in fow wv wa wi; do
     for axis in size line; do
         "$SWEEP" ccom --axis "$axis" --hit wt --miss "$miss" \
-            --store-dir "$STORE" --incremental \
+            --store-dir "$STORE" \
             > "$WORKDIR/warm_${miss}_${axis}.txt" \
             2> "$WORKDIR/warm_${miss}_${axis}.err" \
             || fail "warm sweep $miss/$axis"

@@ -311,7 +311,7 @@ TEST(EngineDifferential, RenderedTablesAreByteIdentical)
 
 TEST(EngineDifferential, StoreRoundTripIsByteIdentical)
 {
-    // The persistence property behind incremental sweeps: a result
+    // The persistence property behind store-backed sweeps: a result
     // that went result -> wire JSON -> disk blob -> wire JSON ->
     // result must re-serialize and re-render byte-identically to the
     // fresh simulation, so a table assembled from store hits cannot

@@ -361,14 +361,18 @@ exchangeWithRetry(const Transport& t,
             else if (sleep_for > left)
                 sleep_for = left;
         }
-        auto sleep_millis = static_cast<unsigned>(sleep_for);
+        // Round the sleep up to whole microseconds: a sleep clamped
+        // to the budget must not wake before it runs out, or the
+        // next check finds a sliver of budget left and the loop
+        // fires refused connects back to back until it does.
+        auto sleep = std::chrono::ceil<std::chrono::microseconds>(
+            std::chrono::duration<double, std::milli>(sleep_for));
         if (t.verbose) {
             std::cerr << "attempt " << attempt << "/" << attempts
                       << " failed (" << last_error << "); retrying in "
-                      << sleep_millis << " ms\n";
+                      << static_cast<unsigned>(sleep_for) << " ms\n";
         }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(sleep_millis));
+        std::this_thread::sleep_for(sleep);
     }
     fatal(last_error + " (after " + std::to_string(tried) +
           (tried == 1 ? " attempt)" : " attempts)"));
