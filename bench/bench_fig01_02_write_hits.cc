@@ -19,6 +19,7 @@ main(int argc, char** argv)
 {
     using namespace jcache;
 
+    bench::applyJobsFromArgs(argc, argv);
     const auto& traces = sim::TraceSet::standard();
     sim::FigureData fig1 =
         sim::figure1WritesToDirtyVsLineSize(traces);

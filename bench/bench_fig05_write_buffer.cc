@@ -17,6 +17,7 @@ main(int argc, char** argv)
 {
     using namespace jcache;
 
+    bench::applyJobsFromArgs(argc, argv);
     const auto& traces = sim::TraceSet::standard();
     sim::FigureData fig = sim::figure5WriteBufferSweep(traces);
     bench::printFigure(fig, 2);

@@ -17,6 +17,7 @@ main(int argc, char** argv)
 {
     using namespace jcache;
 
+    bench::applyJobsFromArgs(argc, argv);
     const auto& traces = sim::TraceSet::standard();
     sim::FigureData fig7 = sim::figure7WriteCacheAbsolute(traces);
     sim::FigureData fig8 = sim::figure8WriteCacheRelative(traces);

@@ -16,6 +16,7 @@ main(int argc, char** argv)
 {
     using namespace jcache;
 
+    bench::applyJobsFromArgs(argc, argv);
     const auto& traces = sim::TraceSet::standard();
     sim::FigureData fig10 =
         sim::figure10WriteMissShareVsCacheSize(traces);

@@ -7,14 +7,16 @@
 
 #include <iostream>
 
+#include "figure_printer.hh"
 #include "sim/experiments.hh"
 #include "stats/table.hh"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace jcache;
 
+    bench::applyJobsFromArgs(argc, argv);
     const auto& traces = sim::TraceSet::standard();
     auto rows = sim::table1Characteristics(traces);
 

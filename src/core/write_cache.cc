@@ -136,6 +136,55 @@ WriteCache::fractionRemoved() const
            static_cast<double>(writesIn_);
 }
 
+double
+MergeCurve::removalPct(unsigned entries) const
+{
+    if (entries == 0 || writes == 0)
+        return 0.0;
+    return 100.0 * (static_cast<double>(merged.at(entries)) /
+                    static_cast<double>(writes));
+}
+
+MergeCurve
+mergeCurve(const trace::Trace& trace)
+{
+    constexpr unsigned kDepth = MergeCurve::kMaxEntries;
+    constexpr unsigned kWidth = MergeCurve::kEntryBytes;
+
+    // stack[0] is the most recently written entry address; writes at
+    // depth >= kDepth merge in no cache on the curve, so deeper
+    // entries are dropped.
+    std::array<Addr, kDepth> stack{};
+    unsigned depth = 0;
+    std::array<Count, kDepth> at_depth{};
+    MergeCurve curve;
+    for (const trace::TraceRecord& record : trace) {
+        if (record.type != trace::RefType::Write)
+            continue;
+        ++curve.writes;
+        Addr entry_addr = alignDown(record.addr, kWidth);
+        // Not fatalIf: its std::string argument would be built on
+        // every write.
+        if (record.addr - entry_addr + record.size > kWidth)
+            fatal("write cache writes must not straddle entries");
+        unsigned d = 0;
+        while (d < depth && stack[d] != entry_addr)
+            ++d;
+        if (d < depth)
+            ++at_depth[d];
+        else if (depth < kDepth)
+            ++depth;
+        else
+            d = kDepth - 1;  // the deepest entry falls off the stack
+        for (; d > 0; --d)
+            stack[d] = stack[d - 1];
+        stack[0] = entry_addr;
+    }
+    for (unsigned n = 1; n <= kDepth; ++n)
+        curve.merged[n] = curve.merged[n - 1] + at_depth[n - 1];
+    return curve;
+}
+
 void
 WriteCache::reset()
 {

@@ -16,9 +16,11 @@
 #ifndef JCACHE_CORE_WRITE_CACHE_HH
 #define JCACHE_CORE_WRITE_CACHE_HH
 
+#include <array>
 #include <vector>
 
 #include "mem/mem_level.hh"
+#include "trace/trace.hh"
 #include "util/types.hh"
 
 namespace jcache::core
@@ -95,6 +97,44 @@ class WriteCache : public mem::MemLevel
     Count evictions_ = 0;
     Count fetchFlushes_ = 0;
 };
+
+/**
+ * Writes merged by a write cache of 8B entries, for every size from 0
+ * to kMaxEntries entries, from one pass over a trace (Figures 5, 7-9).
+ *
+ * A WriteCache fills free slots before it evicts and replaces the
+ * least recently written entry, so an n-entry cache always holds the
+ * n most recently written entry addresses: it has LRU's inclusion
+ * property.  A write whose entry sits at depth d of the LRU stack
+ * (d distinct entries written since) merges in every cache with more
+ * than d entries, so one stack pass gives every size exactly.
+ */
+struct MergeCurve
+{
+    /** Largest entry count on the curve (Figure 7's x-axis). */
+    static constexpr unsigned kMaxEntries = 16;
+
+    /** Entry width, the paper's 8B. */
+    static constexpr unsigned kEntryBytes = 8;
+
+    /** Writes in the trace. */
+    Count writes = 0;
+
+    /** merged[n]: writes an n-entry write cache merges. */
+    std::array<Count, kMaxEntries + 1> merged{};
+
+    /**
+     * Percent of writes an n-entry cache removes; bit-identical to
+     * 100 * WriteCache(n).fractionRemoved() over the same writes.
+     */
+    double removalPct(unsigned entries) const;
+};
+
+/**
+ * The merge curve of a trace's writes.  Throws FatalError on a write
+ * that straddles an entry, as WriteCache::writeThrough does.
+ */
+MergeCurve mergeCurve(const trace::Trace& trace);
 
 } // namespace jcache::core
 

@@ -40,42 +40,22 @@ makeConfig(Count size, unsigned line, WriteHitPolicy hit,
 }
 
 /**
- * Per-benchmark sweep over one axis; metric(trace, x) -> value.
- *
- * The (trace x x) grid fans out over the parallel executor; values
- * land in grid-index order, so the figure is identical to a serial
- * sweep regardless of thread count.
+ * Run task(i) for every i in [0, count) over the parallel executor.
+ * Tasks write to per-index slots, so callers that reduce the slots in
+ * index order get the same doubles at any thread count.  A failed
+ * cell fails the figure with its message.
  */
-template <typename X, typename Metric>
-FigureData
-sweep(const std::string& title, const std::string& x_axis,
-      const std::vector<X>& xs,
-      const std::function<std::string(X)>& x_label,
-      const TraceSet& traces, Metric metric)
+void
+fanOut(const std::string& what, std::size_t count,
+       const std::function<void(std::size_t)>& task)
 {
-    FigureData figure;
-    figure.title = title;
-    figure.xAxis = x_axis;
-    for (X x : xs)
-        figure.xLabels.push_back(x_label(x));
-
-    const std::vector<trace::Trace>& ts = traces.traces();
-    std::size_t nx = xs.size();
-    std::vector<double> values(ts.size() * nx);
-    ParallelExecutor().runTasks(values.size(), [&](std::size_t i) {
-        values[i] = metric(ts[i / nx], xs[i % nx]);
-        return Count{0};
-    });
-
-    for (std::size_t ti = 0; ti < ts.size(); ++ti) {
-        Series series;
-        series.label = ts[ti].name();
-        series.values.assign(values.begin() + ti * nx,
-                             values.begin() + (ti + 1) * nx);
-        figure.series.push_back(std::move(series));
-    }
-    appendAverage(figure);
-    return figure;
+    SweepReport report =
+        ParallelExecutor().runTasks(count, [&](std::size_t i) {
+            task(i);
+            return Count{0};
+        });
+    if (!report.allSucceeded())
+        fatal(what + " failed: " + report.failures.front().message);
 }
 
 /**
@@ -250,6 +230,57 @@ missReductionSweep(const std::string& figure_name,
     return result;
 }
 
+/** Per-trace write-cache merge curves, one task per trace. */
+std::vector<core::MergeCurve>
+mergeCurves(const TraceSet& traces)
+{
+    const std::vector<trace::Trace>& ts = traces.traces();
+    std::vector<core::MergeCurve> curves(ts.size());
+    fanOut("write-cache merge curve", ts.size(), [&](std::size_t i) {
+        curves[i] = core::mergeCurve(ts[i]);
+    });
+    return curves;
+}
+
+/**
+ * Percent of writes a direct-mapped write-back cache removes (=
+ * writes to already-dirty lines, whole-line write-backs): one series
+ * per trace over `sizes`, then the average, from one batch.
+ */
+FigureData
+writeBackRemoval(const TraceSet& traces, const std::vector<Count>& sizes)
+{
+    return resultSweep<Count>(
+        "write-back removal", "cache size", sizes, sizeLabel(), traces,
+        wbBySize(), [](const RunResult& r) {
+            return r.percentWritesToDirtyLines();
+        });
+}
+
+/**
+ * Per-benchmark series over write-cache entry counts 0-16;
+ * value(trace index, entries) -> y.
+ */
+FigureData
+entrySweep(const std::string& title, const TraceSet& traces,
+           const std::function<double(std::size_t, unsigned)>& value)
+{
+    FigureData figure;
+    figure.title = title;
+    figure.xAxis = "write-cache entries (8B)";
+    for (unsigned n = 0; n <= core::MergeCurve::kMaxEntries; ++n)
+        figure.xLabels.push_back(std::to_string(n));
+    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+        Series series;
+        series.label = traces.traces()[ti].name();
+        for (unsigned n = 0; n <= core::MergeCurve::kMaxEntries; ++n)
+            series.values.push_back(value(ti, n));
+        figure.series.push_back(std::move(series));
+    }
+    appendAverage(figure);
+    return figure;
+}
+
 } // namespace
 
 const Series&
@@ -315,17 +346,26 @@ storePipelineComparison(const TraceSet& traces)
     CacheConfig config = makeConfig(kBaseCacheSize, kBaseLineSize,
                                     WriteHitPolicy::WriteBack,
                                     WriteMissPolicy::FetchOnWrite);
-    for (core::StoreScheme scheme :
-         {core::StoreScheme::WriteThroughDirect,
-          core::StoreScheme::ProbeThenWrite,
-          core::StoreScheme::DelayedWrite}) {
+    const std::vector<core::StoreScheme> schemes = {
+        core::StoreScheme::WriteThroughDirect,
+        core::StoreScheme::ProbeThenWrite,
+        core::StoreScheme::DelayedWrite,
+    };
+    // Grid: scheme-major, then trace, so each series is one slice.
+    const std::vector<trace::Trace>& ts = traces.traces();
+    std::size_t nt = ts.size();
+    std::vector<double> overhead(schemes.size() * nt);
+    fanOut("store-pipeline comparison", overhead.size(),
+           [&](std::size_t i) {
+               overhead[i] = core::simulateStorePipeline(
+                                 ts[i % nt], config, schemes[i / nt])
+                                 .cpiOverhead();
+           });
+    for (std::size_t si = 0; si < schemes.size(); ++si) {
         Series series;
-        series.label = core::name(scheme);
-        for (const trace::Trace& t : traces.traces()) {
-            auto result =
-                core::simulateStorePipeline(t, config, scheme);
-            series.values.push_back(result.cpiOverhead());
-        }
+        series.label = core::name(schemes[si]);
+        series.values.assign(overhead.begin() + si * nt,
+                             overhead.begin() + (si + 1) * nt);
         figure.series.push_back(std::move(series));
     }
     return figure;
@@ -345,32 +385,42 @@ figure5WriteBufferSweep(const TraceSet& traces)
     for (Cycles n : retires)
         figure.xLabels.push_back(std::to_string(n));
 
+    // Grid: retire-interval-major, then trace; the sums below run in
+    // trace order, as a serial loop would.
+    const std::vector<trace::Trace>& ts = traces.traces();
+    std::size_t nt = ts.size();
+    std::vector<double> merged_pct(retires.size() * nt);
+    std::vector<double> stall_cpi(retires.size() * nt);
+    fanOut("write-buffer sweep", merged_pct.size(), [&](std::size_t i) {
+        core::WriteBufferConfig config;
+        config.entries = 8;
+        config.entryBytes = 16;
+        config.retireInterval = retires[i / nt];
+        core::CoalescingWriteBuffer buffer(config);
+        // The paper ignores cache-miss time here: the clock advances
+        // one cycle per instruction plus buffer stalls.
+        Cycles now = 0;
+        Count instructions = 0;
+        for (const trace::TraceRecord& record : ts[i % nt]) {
+            now += record.instrDelta;
+            instructions += record.instrDelta;
+            if (record.type == trace::RefType::Write)
+                now += buffer.write(record.addr, now);
+        }
+        merged_pct[i] = 100.0 * buffer.mergeFraction();
+        stall_cpi[i] = stats::ratio(buffer.stallCycles(), instructions);
+    });
+
     Series merged{"% merged (8-entry buffer)", {}};
     Series stall{"write buffer full stall CPI", {}};
-    for (Cycles n : retires) {
+    auto n_traces = static_cast<double>(nt);
+    for (std::size_t ri = 0; ri < retires.size(); ++ri) {
         double merged_sum = 0.0;
         double stall_sum = 0.0;
-        for (const trace::Trace& t : traces.traces()) {
-            core::WriteBufferConfig config;
-            config.entries = 8;
-            config.entryBytes = 16;
-            config.retireInterval = n;
-            core::CoalescingWriteBuffer buffer(config);
-            // The paper ignores cache-miss time here: the clock
-            // advances one cycle per instruction plus buffer stalls.
-            Cycles now = 0;
-            Count instructions = 0;
-            for (const trace::TraceRecord& record : t) {
-                now += record.instrDelta;
-                instructions += record.instrDelta;
-                if (record.type == trace::RefType::Write)
-                    now += buffer.write(record.addr, now);
-            }
-            merged_sum += 100.0 * buffer.mergeFraction();
-            stall_sum += stats::ratio(buffer.stallCycles(),
-                                      instructions);
+        for (std::size_t ti = 0; ti < nt; ++ti) {
+            merged_sum += merged_pct[ri * nt + ti];
+            stall_sum += stall_cpi[ri * nt + ti];
         }
-        auto n_traces = static_cast<double>(traces.size());
         merged.values.push_back(merged_sum / n_traces);
         stall.values.push_back(stall_sum / n_traces);
     }
@@ -379,89 +429,38 @@ figure5WriteBufferSweep(const TraceSet& traces)
 
     // Reference line: percent merged by a 6-entry write cache.
     double wc_sum = 0.0;
-    for (const trace::Trace& t : traces.traces()) {
-        core::WriteCache wc(6, 8, nullptr);
-        for (const trace::TraceRecord& record : t) {
-            if (record.type == trace::RefType::Write)
-                wc.writeThrough(record.addr, record.size);
-        }
-        wc_sum += 100.0 * wc.fractionRemoved();
-    }
+    for (const core::MergeCurve& curve : mergeCurves(traces))
+        wc_sum += curve.removalPct(6);
     Series reference{"% merged by 6-entry write cache", {}};
-    reference.values.assign(
-        retires.size(), wc_sum / static_cast<double>(traces.size()));
+    reference.values.assign(retires.size(), wc_sum / n_traces);
     figure.series.push_back(std::move(reference));
     return figure;
 }
 
-namespace
-{
-
-/** Fraction of a trace's writes removed by an n-entry write cache. */
-double
-writeCacheRemovalPct(const trace::Trace& t, unsigned entries)
-{
-    if (entries == 0)
-        return 0.0;
-    core::WriteCache wc(entries, 8, nullptr);
-    for (const trace::TraceRecord& record : t) {
-        if (record.type == trace::RefType::Write)
-            wc.writeThrough(record.addr, record.size);
-    }
-    return 100.0 * wc.fractionRemoved();
-}
-
-/**
- * Percent of writes a direct-mapped write-back cache removes
- * (= writes to already-dirty lines, whole-line write-backs).
- */
-double
-writeBackRemovalPct(const trace::Trace& t, Count size)
-{
-    RunResult r = runOne(
-        {&t,
-         makeConfig(size, kBaseLineSize, WriteHitPolicy::WriteBack,
-                    WriteMissPolicy::FetchOnWrite),
-         false});
-    return r.percentWritesToDirtyLines();
-}
-
-std::vector<unsigned>
-writeCacheEntryAxis()
-{
-    std::vector<unsigned> entries;
-    for (unsigned n = 0; n <= 16; ++n)
-        entries.push_back(n);
-    return entries;
-}
-
-} // namespace
-
 FigureData
 figure7WriteCacheAbsolute(const TraceSet& traces)
 {
-    return sweep<unsigned>(
-        "Figure 7: write cache absolute traffic reduction",
-        "write-cache entries (8B)", writeCacheEntryAxis(),
-        [](unsigned n) { return std::to_string(n); }, traces,
-        [](const trace::Trace& t, unsigned entries) {
-            return writeCacheRemovalPct(t, entries);
+    std::vector<core::MergeCurve> curves = mergeCurves(traces);
+    return entrySweep(
+        "Figure 7: write cache absolute traffic reduction", traces,
+        [&](std::size_t ti, unsigned entries) {
+            return curves[ti].removalPct(entries);
         });
 }
 
 FigureData
 figure8WriteCacheRelative(const TraceSet& traces)
 {
-    return sweep<unsigned>(
+    std::vector<core::MergeCurve> curves = mergeCurves(traces);
+    FigureData wb = writeBackRemoval(traces, {4 * 1024});
+    return entrySweep(
         "Figure 8: write cache reduction relative to a 4KB "
         "write-back cache",
-        "write-cache entries (8B)", writeCacheEntryAxis(),
-        [](unsigned n) { return std::to_string(n); }, traces,
-        [](const trace::Trace& t, unsigned entries) {
-            double wb = writeBackRemovalPct(t, 4 * 1024);
-            if (wb == 0.0)
+        traces, [&](std::size_t ti, unsigned entries) {
+            double wb_pct = wb.series[ti].values[0];
+            if (wb_pct == 0.0)
                 return 0.0;
-            return 100.0 * writeCacheRemovalPct(t, entries) / wb;
+            return 100.0 * curves[ti].removalPct(entries) / wb_pct;
         });
 }
 
@@ -478,14 +477,16 @@ figure9WriteCacheVsWbSize(const TraceSet& traces)
     for (Count s : sizes)
         figure.xLabels.push_back(stats::formatSize(s));
 
+    std::vector<core::MergeCurve> curves = mergeCurves(traces);
+    FigureData wb_pcts = writeBackRemoval(traces, sizes);
     for (unsigned entries : {15u, 5u, 1u}) {
         Series series;
         series.label = std::to_string(entries) + " entry write cache";
-        for (Count size : sizes) {
+        for (std::size_t si = 0; si < sizes.size(); ++si) {
             double sum = 0.0;
-            for (const trace::Trace& t : traces.traces()) {
-                double wb = writeBackRemovalPct(t, size);
-                double wc = writeCacheRemovalPct(t, entries);
+            for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+                double wb = wb_pcts.series[ti].values[si];
+                double wc = curves[ti].removalPct(entries);
                 sum += wb > 0.0 ? 100.0 * wc / wb : 0.0;
             }
             series.values.push_back(

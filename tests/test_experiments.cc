@@ -7,11 +7,18 @@
  */
 
 #include <algorithm>
+#include <functional>
 
 #include <gtest/gtest.h>
 
+#include "core/store_pipeline.hh"
+#include "core/write_buffer.hh"
+#include "core/write_cache.hh"
+#include "sim/engine.hh"
 #include "sim/experiments.hh"
+#include "stats/counter.hh"
 #include "util/logging.hh"
+#include "workloads/workload.hh"
 
 namespace jcache::sim
 {
@@ -177,6 +184,209 @@ TEST(Figure9, RelativeBenefitShrinksWithWbCacheSize)
         EXPECT_LE(one.values[i], five.values[i] + 1e-9);
         EXPECT_LE(five.values[i], fifteen.values[i] + 1e-9);
     }
+}
+
+/**
+ * Two workloads at a non-default seed, for the comparisons below
+ * against serial loops: ccom's writes merge at most write-cache
+ * depths, liver's almost nowhere.
+ */
+const TraceSet&
+oracleTraces()
+{
+    static const TraceSet set(workloads::WorkloadConfig{1, 0x0dd5eed},
+                              {"ccom", "liver"});
+    return set;
+}
+
+/**
+ * The replays the figures used to run, once per point: an n-entry
+ * WriteCache per trace and entry count, and a runOne of a
+ * direct-mapped 16B-line write-back cache per trace and size.
+ */
+struct Replays
+{
+    // [trace][entries 0-16]
+    std::vector<std::vector<double>> writeCachePct;
+    // [trace][1KB, 2KB, ..., 64KB]
+    std::vector<std::vector<double>> writeBackPct;
+};
+
+const Replays&
+replays()
+{
+    static const Replays r = [] {
+        Replays out;
+        for (const trace::Trace& t : oracleTraces().traces()) {
+            std::vector<double> wc{0.0};
+            for (unsigned n = 1; n <= 16; ++n) {
+                core::WriteCache cache(n, 8, nullptr);
+                for (const trace::TraceRecord& record : t) {
+                    if (record.type == trace::RefType::Write)
+                        cache.writeThrough(record.addr, record.size);
+                }
+                wc.push_back(100.0 * cache.fractionRemoved());
+            }
+            out.writeCachePct.push_back(wc);
+            std::vector<double> wb;
+            for (Count kb = 1; kb <= 64; kb *= 2) {
+                core::CacheConfig config;
+                config.sizeBytes = kb * 1024;
+                config.lineBytes = 16;
+                config.hitPolicy = core::WriteHitPolicy::WriteBack;
+                config.missPolicy = core::WriteMissPolicy::FetchOnWrite;
+                wb.push_back(runOne({&t, config, false})
+                                 .percentWritesToDirtyLines());
+            }
+            out.writeBackPct.push_back(wb);
+        }
+        return out;
+    }();
+    return r;
+}
+
+void
+expectSameFigure(const FigureData& got, const FigureData& want)
+{
+    EXPECT_EQ(got.xLabels, want.xLabels);
+    ASSERT_EQ(got.series.size(), want.series.size());
+    for (std::size_t i = 0; i < want.series.size(); ++i) {
+        EXPECT_EQ(got.series[i].label, want.series[i].label);
+        ASSERT_EQ(got.series[i].values.size(),
+                  want.series[i].values.size());
+        for (std::size_t x = 0; x < want.series[i].values.size(); ++x) {
+            EXPECT_EQ(got.series[i].values[x], want.series[i].values[x])
+                << want.series[i].label << " @ " << want.xLabels[x];
+        }
+    }
+}
+
+/** Series over entries 0-16 for each trace, plus the average. */
+FigureData
+oracleEntryFigure(
+    const std::function<double(std::size_t, unsigned)>& value)
+{
+    FigureData figure;
+    for (unsigned n = 0; n <= 16; ++n)
+        figure.xLabels.push_back(std::to_string(n));
+    const std::vector<trace::Trace>& ts = oracleTraces().traces();
+    for (std::size_t ti = 0; ti < ts.size(); ++ti) {
+        Series series{ts[ti].name(), {}};
+        for (unsigned n = 0; n <= 16; ++n)
+            series.values.push_back(value(ti, n));
+        figure.series.push_back(std::move(series));
+    }
+    appendAverage(figure);
+    return figure;
+}
+
+TEST(SerialOracle, Figures3And4MatchSerialSimulation)
+{
+    core::CacheConfig config;
+    config.sizeBytes = 8 * 1024;
+    config.lineBytes = 16;
+    config.hitPolicy = core::WriteHitPolicy::WriteBack;
+    config.missPolicy = core::WriteMissPolicy::FetchOnWrite;
+    FigureData want;
+    for (const trace::Trace& t : oracleTraces().traces())
+        want.xLabels.push_back(t.name());
+    for (core::StoreScheme scheme :
+         {core::StoreScheme::WriteThroughDirect,
+          core::StoreScheme::ProbeThenWrite,
+          core::StoreScheme::DelayedWrite}) {
+        Series series{core::name(scheme), {}};
+        for (const trace::Trace& t : oracleTraces().traces()) {
+            series.values.push_back(
+                core::simulateStorePipeline(t, config, scheme)
+                    .cpiOverhead());
+        }
+        want.series.push_back(std::move(series));
+    }
+    expectSameFigure(storePipelineComparison(oracleTraces()), want);
+}
+
+TEST(SerialOracle, Figure5MatchesSerialReplays)
+{
+    const TraceSet& set = oracleTraces();
+    FigureData want;
+    Series merged{"% merged (8-entry buffer)", {}};
+    Series stall{"write buffer full stall CPI", {}};
+    for (Cycles n = 0; n <= 48; n += 4) {
+        want.xLabels.push_back(std::to_string(n));
+        double merged_sum = 0.0;
+        double stall_sum = 0.0;
+        for (const trace::Trace& t : set.traces()) {
+            core::WriteBufferConfig config;
+            config.entries = 8;
+            config.entryBytes = 16;
+            config.retireInterval = n;
+            core::CoalescingWriteBuffer buffer(config);
+            Cycles now = 0;
+            Count instructions = 0;
+            for (const trace::TraceRecord& record : t) {
+                now += record.instrDelta;
+                instructions += record.instrDelta;
+                if (record.type == trace::RefType::Write)
+                    now += buffer.write(record.addr, now);
+            }
+            merged_sum += 100.0 * buffer.mergeFraction();
+            stall_sum += stats::ratio(buffer.stallCycles(),
+                                      instructions);
+        }
+        merged.values.push_back(merged_sum / 2.0);
+        stall.values.push_back(stall_sum / 2.0);
+    }
+    double wc_sum = 0.0;
+    for (const std::vector<double>& wc : replays().writeCachePct)
+        wc_sum += wc[6];
+    Series reference{"% merged by 6-entry write cache",
+                     std::vector<double>(13, wc_sum / 2.0)};
+    want.series = {merged, stall, reference};
+    expectSameFigure(figure5WriteBufferSweep(set), want);
+}
+
+TEST(SerialOracle, Figure7MatchesPerSizeReplays)
+{
+    FigureData want =
+        oracleEntryFigure([](std::size_t ti, unsigned entries) {
+            return replays().writeCachePct[ti][entries];
+        });
+    expectSameFigure(figure7WriteCacheAbsolute(oracleTraces()), want);
+}
+
+TEST(SerialOracle, Figure8MatchesPerSizeReplays)
+{
+    FigureData want =
+        oracleEntryFigure([](std::size_t ti, unsigned entries) {
+            double wb = replays().writeBackPct[ti][2];  // 4KB
+            if (wb == 0.0)
+                return 0.0;
+            return 100.0 * replays().writeCachePct[ti][entries] / wb;
+        });
+    expectSameFigure(figure8WriteCacheRelative(oracleTraces()), want);
+}
+
+TEST(SerialOracle, Figure9MatchesPerSizeReplays)
+{
+    const Replays& r = replays();
+    FigureData want;
+    for (Count kb = 1; kb <= 64; kb *= 2)
+        want.xLabels.push_back(std::to_string(kb) + "KB");
+    for (unsigned entries : {15u, 5u, 1u}) {
+        Series series{std::to_string(entries) + " entry write cache",
+                      {}};
+        for (std::size_t si = 0; si < 7; ++si) {
+            double sum = 0.0;
+            for (std::size_t ti = 0; ti < 2; ++ti) {
+                double wb = r.writeBackPct[ti][si];
+                double wc = r.writeCachePct[ti][entries];
+                sum += wb > 0.0 ? 100.0 * wc / wb : 0.0;
+            }
+            series.values.push_back(sum / 2.0);
+        }
+        want.series.push_back(std::move(series));
+    }
+    expectSameFigure(figure9WriteCacheVsWbSize(oracleTraces()), want);
 }
 
 TEST(Figure10, WriteMissesAreRoughlyAThirdOfMisses)
