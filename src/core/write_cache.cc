@@ -163,10 +163,8 @@ mergeCurve(const trace::Trace& trace)
             continue;
         ++curve.writes;
         Addr entry_addr = alignDown(record.addr, kWidth);
-        // Not fatalIf: its std::string argument would be built on
-        // every write.
-        if (record.addr - entry_addr + record.size > kWidth)
-            fatal("write cache writes must not straddle entries");
+        fatalIf(record.addr - entry_addr + record.size > kWidth,
+                "write cache writes must not straddle entries");
         unsigned d = 0;
         while (d < depth && stack[d] != entry_addr)
             ++d;

@@ -1,14 +1,12 @@
 /**
  * @file
- * Implementation of the epoll/poll reactor.
+ * Implementation of the epoll reactor.
  */
 
 #include "net/reactor.hh"
 
-#include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 #include <utility>
@@ -19,175 +17,45 @@ namespace jcache::net
 namespace
 {
 
-bool
-pollFallbackForced()
+epoll_event
+makeEvent(int fd, unsigned interest)
 {
-    const char* env = std::getenv("JCACHE_NET_POLL");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
+    epoll_event ev = {};
+    ev.data.fd = fd;
+    if (interest & kReadable)
+        ev.events |= EPOLLIN;
+    if (interest & kWritable)
+        ev.events |= EPOLLOUT;
+    return ev;
 }
 
-/** epoll backend: interest lives in the kernel, wait is O(ready). */
-class EpollPoller final : public Poller
+unsigned
+readyBits(std::uint32_t events)
 {
-  public:
-    EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-
-    ~EpollPoller() override
-    {
-        if (epfd_ >= 0)
-            ::close(epfd_);
-    }
-
-    bool valid() const { return epfd_ >= 0; }
-
-    bool add(int fd, unsigned interest) override
-    {
-        epoll_event ev = makeEvent(fd, interest);
-        return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-    }
-
-    bool modify(int fd, unsigned interest) override
-    {
-        epoll_event ev = makeEvent(fd, interest);
-        return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-    }
-
-    void remove(int fd) override
-    {
-        epoll_event ev = {};
-        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-    }
-
-    std::size_t wait(std::vector<Event>& out,
-                     int timeout_millis) override
-    {
-        epoll_event events[64];
-        int n = ::epoll_wait(epfd_, events, 64, timeout_millis);
-        if (n <= 0)
-            return 0;
-        out.clear();
-        for (int i = 0; i < n; ++i) {
-            Event e;
-            e.fd = events[i].data.fd;
-            if (events[i].events & (EPOLLIN | EPOLLRDHUP))
-                e.events |= kReadable;
-            if (events[i].events & EPOLLOUT)
-                e.events |= kWritable;
-            if (events[i].events & (EPOLLERR | EPOLLHUP))
-                e.events |= kHangup;
-            out.push_back(e);
-        }
-        return out.size();
-    }
-
-    const char* backend() const override { return "epoll"; }
-
-  private:
-    static epoll_event makeEvent(int fd, unsigned interest)
-    {
-        epoll_event ev = {};
-        ev.data.fd = fd;
-        if (interest & kReadable)
-            ev.events |= EPOLLIN;
-        if (interest & kWritable)
-            ev.events |= EPOLLOUT;
-        return ev;
-    }
-
-    int epfd_ = -1;
-};
-
-/**
- * poll backend: interest lives in a user-space map and the pollfd
- * vector is rebuilt per wait.  O(fds) per iteration, which is fine at
- * loopback-service connection counts, and portable to any POSIX.
- */
-class PollPoller final : public Poller
-{
-  public:
-    bool add(int fd, unsigned interest) override
-    {
-        interest_[fd] = interest;
-        return true;
-    }
-
-    bool modify(int fd, unsigned interest) override
-    {
-        auto it = interest_.find(fd);
-        if (it == interest_.end())
-            return false;
-        it->second = interest;
-        return true;
-    }
-
-    void remove(int fd) override { interest_.erase(fd); }
-
-    std::size_t wait(std::vector<Event>& out,
-                     int timeout_millis) override
-    {
-        pfds_.clear();
-        for (const auto& [fd, interest] : interest_) {
-            pollfd p = {};
-            p.fd = fd;
-            if (interest & kReadable)
-                p.events |= POLLIN;
-            if (interest & kWritable)
-                p.events |= POLLOUT;
-            pfds_.push_back(p);
-        }
-        int n = ::poll(pfds_.data(),
-                       static_cast<nfds_t>(pfds_.size()),
-                       timeout_millis);
-        if (n <= 0)
-            return 0;
-        out.clear();
-        for (const pollfd& p : pfds_) {
-            if (p.revents == 0)
-                continue;
-            Event e;
-            e.fd = p.fd;
-            if (p.revents & POLLIN)
-                e.events |= kReadable;
-            if (p.revents & POLLOUT)
-                e.events |= kWritable;
-            if (p.revents & (POLLERR | POLLHUP | POLLNVAL))
-                e.events |= kHangup;
-            out.push_back(e);
-        }
-        return out.size();
-    }
-
-    const char* backend() const override { return "poll"; }
-
-  private:
-    std::unordered_map<int, unsigned> interest_;
-    std::vector<pollfd> pfds_;
-};
+    unsigned bits = 0;
+    if (events & (EPOLLIN | EPOLLRDHUP))
+        bits |= kReadable;
+    if (events & EPOLLOUT)
+        bits |= kWritable;
+    if (events & (EPOLLERR | EPOLLHUP))
+        bits |= kHangup;
+    return bits;
+}
 
 } // namespace
 
-std::unique_ptr<Poller>
-Poller::create()
-{
-    if (!pollFallbackForced()) {
-        auto epoll = std::make_unique<EpollPoller>();
-        if (epoll->valid())
-            return epoll;
-    }
-    return std::make_unique<PollPoller>();
-}
-
-Reactor::Reactor() : poller_(Poller::create())
+Reactor::Reactor() : epfd_(::epoll_create1(EPOLL_CLOEXEC))
 {
     int fds[2];
-    if (::pipe(fds) != 0)
+    if (epfd_ < 0 || ::pipe(fds) != 0)
         return;
     wakeRead_ = fds[0];
     wakeWrite_ = fds[1];
     ::fcntl(wakeRead_, F_SETFL, O_NONBLOCK);
     ::fcntl(wakeWrite_, F_SETFL, O_NONBLOCK);
     // The wake pipe drains inline, not through callbacks_.
-    poller_->add(wakeRead_, kReadable);
+    epoll_event ev = makeEvent(wakeRead_, kReadable);
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakeRead_, &ev);
 }
 
 Reactor::~Reactor()
@@ -196,18 +64,21 @@ Reactor::~Reactor()
         ::close(wakeRead_);
     if (wakeWrite_ >= 0)
         ::close(wakeWrite_);
+    if (epfd_ >= 0)
+        ::close(epfd_);
 }
 
 bool
 Reactor::valid() const
 {
-    return poller_ != nullptr && wakeRead_ >= 0;
+    return epfd_ >= 0 && wakeRead_ >= 0;
 }
 
 bool
 Reactor::add(int fd, unsigned interest, Callback callback)
 {
-    if (!poller_->add(fd, interest))
+    epoll_event ev = makeEvent(fd, interest);
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0)
         return false;
     callbacks_[fd] = std::move(callback);
     return true;
@@ -216,13 +87,15 @@ Reactor::add(int fd, unsigned interest, Callback callback)
 bool
 Reactor::setInterest(int fd, unsigned interest)
 {
-    return poller_->modify(fd, interest);
+    epoll_event ev = makeEvent(fd, interest);
+    return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
 }
 
 void
 Reactor::remove(int fd)
 {
-    poller_->remove(fd);
+    epoll_event ev = {};
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
     callbacks_.erase(fd);
 }
 
@@ -256,12 +129,12 @@ std::size_t
 Reactor::runOnce(int timeout_millis)
 {
     drainPosted();
-    ready_.reserve(64);
-    std::size_t n = poller_->wait(ready_, timeout_millis);
+    epoll_event ready[64];
+    int n = ::epoll_wait(epfd_, ready, 64, timeout_millis);
     std::size_t dispatched = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Poller::Event& e = ready_[i];
-        if (e.fd == wakeRead_) {
+    for (int i = 0; i < n; ++i) {
+        int fd = ready[i].data.fd;
+        if (fd == wakeRead_) {
             char buf[256];
             while (::read(wakeRead_, buf, sizeof(buf)) > 0) {
             }
@@ -269,21 +142,15 @@ Reactor::runOnce(int timeout_millis)
         }
         // Look up per event: an earlier callback in this batch may
         // have removed (or replaced) this fd.
-        auto it = callbacks_.find(e.fd);
+        auto it = callbacks_.find(fd);
         if (it == callbacks_.end())
             continue;
         Callback cb = it->second;
-        cb(e.events);
+        cb(readyBits(ready[i].events));
         ++dispatched;
     }
     drainPosted();
     return dispatched;
-}
-
-const char*
-Reactor::backend() const
-{
-    return poller_->backend();
 }
 
 } // namespace jcache::net

@@ -11,22 +11,6 @@
 namespace jcache::service
 {
 
-std::optional<AdmissionMode>
-parseAdmissionMode(const std::string& text)
-{
-    if (text == "queue-cap")
-        return AdmissionMode::QueueCap;
-    if (text == "codel")
-        return AdmissionMode::Codel;
-    return std::nullopt;
-}
-
-std::string
-name(AdmissionMode mode)
-{
-    return mode == AdmissionMode::QueueCap ? "queue-cap" : "codel";
-}
-
 AdmissionController::AdmissionController(
     const AdmissionConfig& config)
     : config_(config)
@@ -77,9 +61,6 @@ AdmissionController::shouldShed(double sojournSeconds,
         dropCount_ = 0;
         return false;
     }
-
-    if (config_.mode != AdmissionMode::Codel)
-        return false;
 
     if (!dropping_) {
         if (!aboveArmed_) {

@@ -40,34 +40,13 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
-#include <string>
 
 namespace jcache::service
 {
 
-/** Admission policy of the job queue (jcached --admission). */
-enum class AdmissionMode
-{
-    /** Fixed-capacity shed only: the pre-adaptive behavior. */
-    QueueCap,
-
-    /** Capacity shed plus CoDel-style sojourn-time control. */
-    Codel,
-};
-
-/** Parse a --admission value; nullopt when unrecognized. */
-std::optional<AdmissionMode> parseAdmissionMode(
-    const std::string& text);
-
-/** CLI/stats name of a mode ("queue-cap" or "codel"). */
-std::string name(AdmissionMode mode);
-
 /** Tunables of the sojourn-time controller. */
 struct AdmissionConfig
 {
-    AdmissionMode mode = AdmissionMode::Codel;
-
     /** Acceptable median queue wait (jcached --admission-target-ms). */
     double targetMillis = 50.0;
 
@@ -101,11 +80,7 @@ struct AdmissionState
     std::size_t windowSamples = 0;
 };
 
-/**
- * The sojourn-time decision box described in the file comment.
- * In QueueCap mode, shouldShed() records samples (so stats still
- * report queue-wait medians) but never sheds.
- */
+/** The sojourn-time decision box described in the file comment. */
 class AdmissionController
 {
   public:

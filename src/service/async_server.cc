@@ -51,7 +51,7 @@ AsyncServer::start(std::string* error)
 {
     if (!reactor_.valid()) {
         if (error)
-            *error = "no poller backend available";
+            *error = "cannot set up the epoll reactor";
         return false;
     }
     listener_ = net::Listener::listenOn(config_.port, error);

@@ -87,8 +87,8 @@ class AsyncServer
 
     /**
      * Bind the listener.  Returns false (and sets `error` when
-     * non-null) if the port is unavailable or no poller backend could
-     * be constructed.
+     * non-null) if the port is unavailable or the reactor's epoll fd
+     * could not be created.
      */
     bool start(std::string* error = nullptr);
 
@@ -109,9 +109,6 @@ class AsyncServer
 
     /** The request router (for tests and in-process callers). */
     Service& service() { return service_; }
-
-    /** The active poller backend name ("epoll" or "poll"). */
-    const char* backend() const { return reactor_.backend(); }
 
   private:
     using Clock = std::chrono::steady_clock;

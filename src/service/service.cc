@@ -463,7 +463,6 @@ Service::executeCells(const sim::ResolvedTrace& resolved,
         requests.push_back({resolved.trace.get(), c, flush,
                             resolved.source.get()});
     sim::BatchOptions options;
-    options.engine = config_.engine;
     options.jobs = executorThreads_;
     sim::BatchOutcome batch = sim::runBatch(requests, options);
     recordJobTiming(
@@ -471,16 +470,6 @@ Service::executeCells(const sim::ResolvedTrace& resolved,
         batch.report);
     fatalIf(!batch.ok(), describeFailures(batch.report));
     return std::move(batch.results);
-}
-
-sim::ResolvedTrace
-Service::resolveRef(const sim::TraceRef& ref)
-{
-    // The per-cell engine replays trace::Trace records directly, so
-    // a mapped-only resolution must be decoded up front.
-    if (config_.engine == sim::Engine::PerCell && !shard_)
-        return repo_.resolveMaterialized(ref);
-    return repo_.resolve(ref);
 }
 
 std::optional<std::string>
@@ -545,7 +534,6 @@ Service::snapshot() const
     snap.queueWaitP50Seconds = queueWait_.percentile(50.0);
     snap.queueWaitP99Seconds = queueWait_.percentile(99.0);
     snap.queueWaitMaxSeconds = queueWait_.max();
-    snap.admissionMode = admission_.config().mode;
     snap.admissionTargetMillis = admission_.config().targetMillis;
     snap.admissionIntervalMillis = admission_.config().intervalMillis;
     snap.admission = admission_.state();
@@ -617,11 +605,11 @@ Service::handle(const std::string& request_json)
     bool finished = false;
     std::string response;
     handleAsync(request_json, [&](std::string text) {
-        {
-            std::lock_guard<std::mutex> lock(done_mutex);
-            response = std::move(text);
-            finished = true;
-        }
+        // Notify under the lock: once `finished` is visible the
+        // waiter may return and destroy done_cv.
+        std::lock_guard<std::mutex> lock(done_mutex);
+        response = std::move(text);
+        finished = true;
         done_cv.notify_one();
     });
     std::unique_lock<std::mutex> lock(done_mutex);
@@ -799,10 +787,9 @@ Service::handleRun(const JsonValue& request,
 
     // Resolving the trace before queueing turns an unknown reference
     // into an immediate typed error rather than a queued failure.
-    sim::ResolvedTrace resolved = resolveRef(ref);
+    sim::ResolvedTrace resolved = repo_.resolve(ref);
 
     store::KeyContext ctx;
-    ctx.engine = config_.engine;
     std::string digest = store::cellKey(
         ctx, resolved, canonicalConfigKey(config), flush);
     if (auto hit = cacheLookup(digest)) {
@@ -862,12 +849,11 @@ Service::handleSweep(const JsonValue& request,
     for (const core::CacheConfig& c : points.configs)
         c.validate();
 
-    sim::ResolvedTrace resolved = resolveRef(ref);
+    sim::ResolvedTrace resolved = repo_.resolve(ref);
 
     // The digest covers the axis and base config, not the metric:
     // every metric is derivable from the cached raw counts.
     store::KeyContext ctx;
-    ctx.engine = config_.engine;
     std::string digest = store::sweepKey(
         ctx, resolved, axis, canonicalConfigKey(base));
     if (auto hit = cacheLookup(digest)) {
@@ -1007,7 +993,6 @@ Service::handleUpload(const JsonValue& request,
     // not the client-chosen name (which only rides along because it
     // appears in the rendered payload).
     store::KeyContext ctx;
-    ctx.engine = config_.engine;
     std::string digest =
         store::uploadKey(ctx, util::fnv1aHex(body), name,
                          canonicalConfigKey(config), flush);
@@ -1028,7 +1013,6 @@ Service::handleUpload(const JsonValue& request,
         [this, trace, trace_digest, config, flush,
          name]() -> std::string {
             sim::BatchOptions options;
-            options.engine = config_.engine;
             options.jobs = executorThreads_;
             Clock::time_point start = Clock::now();
             sim::BatchOutcome batch = sim::runBatch(
@@ -1091,10 +1075,9 @@ Service::handleBatch(const JsonValue& request,
         configs.push_back(config);
     }
 
-    sim::ResolvedTrace resolved = resolveRef(ref);
+    sim::ResolvedTrace resolved = repo_.resolve(ref);
 
     store::KeyContext ctx;
-    ctx.engine = config_.engine;
     std::string digest = store::batchKey(ctx, resolved.identity,
                                          config_keys, flush);
     if (auto hit = cacheLookup(digest)) {
@@ -1318,7 +1301,9 @@ Service::healthPayload(const ServiceSnapshot& snap) const
                static_cast<double>(snap.shedDeadline));
     json.endObject();
     json.beginObject("admission");
-    json.field("mode", name(snap.admissionMode));
+    // CoDel is the only admission policy; the field stays so stats
+    // and health payloads keep their shape for existing clients.
+    json.field("mode", "codel");
     json.field("dropping", snap.admission.dropping);
     json.endObject();
     json.beginObject("result_cache");
@@ -1402,8 +1387,9 @@ Service::statsPayload(const ServiceSnapshot& snap) const
                    static_cast<double>(snap.store.putBytes));
         json.field("torn_blobs",
                    static_cast<double>(snap.store.tornBlobs));
-        json.field("torn_index",
-                   static_cast<double>(snap.store.tornIndex));
+        // Always 0: the store has no index file.  The field stays
+        // so the stats payload keeps its shape for existing clients.
+        json.field("torn_index", 0.0);
     }
     json.endObject();
     json.beginObject("queue");
@@ -1423,7 +1409,7 @@ Service::statsPayload(const ServiceSnapshot& snap) const
     json.endObject();
     json.endObject();
     json.beginObject("admission");
-    json.field("mode", name(snap.admissionMode));
+    json.field("mode", "codel");
     json.field("target_ms", snap.admissionTargetMillis);
     json.field("interval_ms", snap.admissionIntervalMillis);
     json.field("dropping", snap.admission.dropping);
@@ -1439,7 +1425,9 @@ Service::statsPayload(const ServiceSnapshot& snap) const
     json.field("executed", static_cast<double>(snap.jobsExecuted));
     json.field("executor_threads",
                static_cast<double>(executorThreads_));
-    json.field("engine", sim::name(config_.engine));
+    // Every job runs on the one-pass engine; the field stays so the
+    // stats payload keeps its shape for existing clients.
+    json.field("engine", "onepass");
     json.field("busy_seconds", snap.jobBusySeconds);
     json.field("grid_seconds", snap.jobGridSeconds);
     double capacity_seconds =

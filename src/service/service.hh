@@ -9,17 +9,16 @@
  *  - a TraceSet registry bootstrapped once at construction, so no
  *    request ever pays trace generation;
  *  - an LRU ResultCache keyed by the canonical result key
- *    (store/key.hh: trace identity, config, engine kind and version,
- *    API minor), so a repeated point is served without replay — and,
+ *    (store/key.hh: trace identity, config, engine version, API
+ *    minor), so a repeated point is served without replay — and,
  *    when ServiceConfig::storeDir is set, a persistent ResultStore
  *    underneath it, so results survive restarts and are shared with
  *    `jcache-sweep --store-dir`;
  *  - a bounded job queue drained by one scheduler thread that hands
  *    each simulation to the unified engine API (sim::runBatch) — the
  *    queue bounds backlog (overload answers `busy` immediately
- *    instead of accumulating latency), while the engine keeps every
- *    grid deterministic and parallel (one-pass by default; jcached
- *    --engine percell selects the reference path).
+ *    instead of accumulating latency), while the one-pass engine
+ *    keeps every grid deterministic and parallel.
  *
  * Request/response schema is documented in docs/SERVICE.md; every
  * response is a JSON object with an "ok" field, errors carry a
@@ -128,8 +127,7 @@ struct ServiceSnapshot
     double queueWaitP99Seconds = 0.0;
     double queueWaitMaxSeconds = 0.0;
 
-    /** Admission-controller view (mode + live state). */
-    AdmissionMode admissionMode = AdmissionMode::Codel;
+    /** Admission-controller view (tunables + live state). */
     double admissionTargetMillis = 0.0;
     double admissionIntervalMillis = 0.0;
     AdmissionState admission;
@@ -152,9 +150,6 @@ struct ServiceConfig
 {
     /** Executor width per job; 0 selects sim::defaultJobs(). */
     unsigned executorThreads = 0;
-
-    /** Replay engine simulation jobs run on (jcached --engine). */
-    sim::Engine engine = sim::kDefaultEngine;
 
     /** Jobs admitted but not yet started; beyond this, `busy`. */
     std::size_t queueCapacity = 64;
@@ -188,9 +183,9 @@ struct ServiceConfig
     const sim::TraceSet* traces = nullptr;
 
     /**
-     * Admission policy (jcached --admission and friends): the fixed
-     * queue cap always applies; in Codel mode (the default) the
-     * sojourn-time controller additionally sheds at dequeue.  See
+     * Admission tunables (jcached --admission-target-ms and
+     * --admission-interval-ms): on top of the fixed queue cap, the
+     * sojourn-time controller sheds at dequeue.  See
      * service/admission.hh.
      */
     AdmissionConfig admission;
@@ -384,14 +379,6 @@ class Service
         const sim::ResolvedTrace& resolved, const sim::TraceRef& ref,
         const std::vector<core::CacheConfig>& configs, bool flush,
         std::chrono::steady_clock::time_point deadline);
-
-    /**
-     * Resolve a request's trace reference, materializing the records
-     * when the configured engine needs them in memory.  Throws
-     * sim::UnknownTraceError (answered as `unknown_trace`) when
-     * nothing satisfies the ref.
-     */
-    sim::ResolvedTrace resolveRef(const sim::TraceRef& ref);
 
     /**
      * Back-off hint for a shed job, in milliseconds: queue depth

@@ -207,22 +207,6 @@ runBatchOnePass(const std::vector<Request>& requests,
 
 } // namespace
 
-std::string
-name(Engine engine)
-{
-    return engine == Engine::PerCell ? "percell" : "onepass";
-}
-
-std::optional<Engine>
-parseEngine(const std::string& code)
-{
-    if (code == "percell")
-        return Engine::PerCell;
-    if (code == "onepass")
-        return Engine::OnePass;
-    return std::nullopt;
-}
-
 Result
 runOne(const Request& request, Engine engine)
 {
@@ -230,8 +214,7 @@ runOne(const Request& request, Engine engine)
             "simulation request names no trace");
     if (engine == Engine::PerCell) {
         fatalIf(request.trace == nullptr,
-                "the per-cell engine needs an in-memory trace; "
-                "resolveMaterialized() the reference first");
+                "the per-cell engine needs an in-memory trace");
         return runTrace(*request.trace, request.config,
                         request.flushAtEnd);
     }
@@ -250,8 +233,7 @@ runBatch(const std::vector<Request>& requests,
                 "simulation request names no trace");
         fatalIf(options.engine == Engine::PerCell &&
                     request.trace == nullptr,
-                "the per-cell engine needs an in-memory trace; "
-                "resolveMaterialized() the reference first");
+                "the per-cell engine needs an in-memory trace");
     }
     if (options.engine == Engine::PerCell)
         return runBatchPerCell(requests, options);

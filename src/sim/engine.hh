@@ -13,8 +13,9 @@
  *    through all of its configurations via runTracePass() — the
  *    trace is decoded once instead of once per cell.
  *  - Engine::PerCell is the classic one-replay-per-cell path
- *    (runTrace() fanned out by ParallelExecutor), kept selectable via
- *    `--engine percell` as the reference and escape hatch.
+ *    (runTrace() fanned out by ParallelExecutor).  No tool or service
+ *    option selects it; it stays as the library-level reference that
+ *    the engine differential tests and benches compare against.
  *
  * Both engines produce byte-identical Results for the same Request.
  */
@@ -22,7 +23,6 @@
 #ifndef JCACHE_SIM_ENGINE_HH
 #define JCACHE_SIM_ENGINE_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,12 +44,6 @@ enum class Engine : std::uint8_t
 
 /** The engine used when a caller expresses no preference. */
 inline constexpr Engine kDefaultEngine = Engine::OnePass;
-
-/** CLI spelling of an engine: "percell" / "onepass". */
-std::string name(Engine engine);
-
-/** Parse a CLI spelling; nullopt for unknown input. */
-std::optional<Engine> parseEngine(const std::string& code);
 
 /**
  * One simulation request: what to replay, not how.

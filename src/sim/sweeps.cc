@@ -144,18 +144,4 @@ buildAxisPoints(const std::string& axis,
     return points;
 }
 
-std::vector<SweepJob>
-buildGrid(const TraceSet& traces,
-          const std::vector<core::CacheConfig>& configs,
-          bool flush_at_end)
-{
-    std::vector<SweepJob> grid;
-    grid.reserve(traces.size() * configs.size());
-    for (const trace::Trace& t : traces.traces()) {
-        for (const core::CacheConfig& c : configs)
-            grid.push_back({&t, c, flush_at_end});
-    }
-    return grid;
-}
-
 } // namespace jcache::sim

@@ -104,17 +104,6 @@ struct AxisPoints
 AxisPoints buildAxisPoints(const std::string& axis,
                            const core::CacheConfig& base);
 
-/**
- * Build a replay grid: the cross product of every trace in the set
- * with every configuration, trace-major (all configs of trace 0, then
- * trace 1, ...).  Feed the result to ParallelExecutor::run(); index
- * back with trace_index * configs.size() + config_index.
- */
-std::vector<SweepJob>
-buildGrid(const TraceSet& traces,
-          const std::vector<core::CacheConfig>& configs,
-          bool flush_at_end = false);
-
 } // namespace jcache::sim
 
 #endif // JCACHE_SIM_SWEEPS_HH

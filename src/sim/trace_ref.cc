@@ -276,29 +276,6 @@ TraceRepository::resolve(const TraceRef& ref)
     return resolveLocked(ref);
 }
 
-ResolvedTrace
-TraceRepository::resolveMaterialized(const TraceRef& ref)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ResolvedTrace r = resolveLocked(ref);
-    if (r.trace)
-        return r;
-
-    // Mapped-only: decode every block into an owned in-memory trace
-    // and re-cache the materialized resolution under the same spec.
-    trace::Trace t(r.name);
-    t.reserve(static_cast<std::size_t>(r.source->records()));
-    std::unique_ptr<trace::BlockCursor> cursor =
-        r.source->blocks(trace::kDefaultBlockRecords);
-    trace::TraceBlock block;
-    while (cursor->next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            t.append(block.records[i]);
-    ResolvedTrace materialized = wrapOwned(std::move(t));
-    cache_[ref.spec()] = materialized;
-    return materialized;
-}
-
 std::string
 TraceRepository::addUpload(trace::Trace trace)
 {

@@ -128,9 +128,7 @@ class TraceRef
 /**
  * A resolved trace: everything a caller needs to replay it and to
  * key its results.  `source` is always usable; `trace` is null when
- * the trace lives only as an mmap'd replay cache (resolve it with
- * TraceRepository::resolveMaterialized() when the per-cell engine or
- * an exporter needs the records in memory).
+ * the trace lives only as an mmap'd replay cache.
  */
 struct ResolvedTrace
 {
@@ -195,12 +193,6 @@ class TraceRepository
 
     /** Resolve `ref`; throws UnknownTraceError when nothing matches. */
     ResolvedTrace resolve(const TraceRef& ref);
-
-    /**
-     * resolve(), but guaranteeing `trace` is non-null: a mapped-only
-     * resolution is decoded into memory once and re-cached.
-     */
-    ResolvedTrace resolveMaterialized(const TraceRef& ref);
 
     /**
      * Register an uploaded trace and return its content digest (the

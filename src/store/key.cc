@@ -13,11 +13,16 @@ namespace jcache::store
 namespace
 {
 
-/** The `<engine>|ev<N>|api<major>.<minor>` context prefix. */
+/**
+ * The `onepass|ev<N>|api<major>.<minor>` context prefix.  `onepass`
+ * names the replay strategy results are computed with; it is a
+ * literal so keys stay byte-identical to stores written when the
+ * strategy was selectable.
+ */
 std::string
 contextText(const KeyContext& ctx)
 {
-    return sim::name(ctx.engine) + "|ev" +
+    return "onepass|ev" +
            std::to_string(ctx.engineVersion) + "|api" +
            std::to_string(kApiVersionMajor) + "." +
            std::to_string(ctx.apiMinor);

@@ -13,10 +13,13 @@
  *     differently can never alias;
  *   - the canonical configuration key
  *     (`service::canonicalConfigKey()`);
- *   - the KeyContext: engine kind, engine semantic version
+ *   - the KeyContext: engine semantic version
  *     (`util/version.hh kEngineVersion`) and API minor — so a result
- *     computed by an older engine, a different replay strategy or an
- *     older wire schema is a *miss*, never silently served.
+ *     computed by an older engine or an older wire schema is a
+ *     *miss*, never silently served.  The context text also carries
+ *     a literal `onepass` segment, the replay strategy that every
+ *     tool and the service run; keeping it keeps existing stores
+ *     valid.
  *
  * Every tier keys by the same derivation: the in-memory ResultCache,
  * the on-disk ResultStore, the jcached request handlers and
@@ -31,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hh"
 #include "sim/trace_ref.hh"
 #include "util/version.hh"
 
@@ -45,9 +47,6 @@ namespace jcache::store
  */
 struct KeyContext
 {
-    /** Replay strategy that computes (or computed) the result. */
-    sim::Engine engine = sim::kDefaultEngine;
-
     /** Engine semantic version (util/version.hh kEngineVersion). */
     unsigned engineVersion = kEngineVersion;
 

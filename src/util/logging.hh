@@ -41,9 +41,20 @@ class FatalError : public std::runtime_error
  */
 [[noreturn]] void panic(const std::string& message);
 
-/** Throw FatalError with the message unless the condition holds. */
+/** Throw FatalError with the message when the condition holds. */
 inline void
 fatalIf(bool condition, const std::string& message)
+{
+    if (condition)
+        fatal(message);
+}
+
+/**
+ * fatalIf() for a literal message: the std::string is only built
+ * when the error is raised, so hot paths can check for free.
+ */
+inline void
+fatalIf(bool condition, const char* message)
 {
     if (condition)
         fatal(message);

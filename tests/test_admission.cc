@@ -13,7 +13,6 @@
 
 using jcache::service::AdmissionConfig;
 using jcache::service::AdmissionController;
-using jcache::service::AdmissionMode;
 using jcache::service::AdmissionState;
 
 namespace
@@ -42,25 +41,6 @@ testConfig()
 }
 
 } // namespace
-
-TEST(AdmissionMode, ParsesAndNamesRoundTrip)
-{
-    auto codel = jcache::service::parseAdmissionMode("codel");
-    ASSERT_TRUE(codel.has_value());
-    EXPECT_EQ(*codel, AdmissionMode::Codel);
-    EXPECT_EQ(jcache::service::name(*codel), "codel");
-
-    auto cap = jcache::service::parseAdmissionMode("queue-cap");
-    ASSERT_TRUE(cap.has_value());
-    EXPECT_EQ(*cap, AdmissionMode::QueueCap);
-    EXPECT_EQ(jcache::service::name(*cap), "queue-cap");
-
-    EXPECT_FALSE(
-        jcache::service::parseAdmissionMode("codel ").has_value());
-    EXPECT_FALSE(
-        jcache::service::parseAdmissionMode("drop").has_value());
-    EXPECT_FALSE(jcache::service::parseAdmissionMode("").has_value());
-}
 
 TEST(AdmissionController, NeverShedsBelowTarget)
 {
@@ -138,22 +118,6 @@ TEST(AdmissionController, NeverShedsTheLastJob)
     EXPECT_EQ(controller.state().totalDropped, 0u);
     // The moment a backlog exists again, the shed goes through.
     EXPECT_TRUE(controller.shouldShed(0.200, 1, at(102)));
-}
-
-TEST(AdmissionController, QueueCapModeSamplesButNeverSheds)
-{
-    AdmissionConfig config = testConfig();
-    config.mode = AdmissionMode::QueueCap;
-    AdmissionController controller(config);
-    for (int i = 0; i < 50; ++i)
-        EXPECT_FALSE(
-            controller.shouldShed(0.500, 20, at(i * 10.0)));
-    AdmissionState state = controller.state();
-    EXPECT_FALSE(state.dropping);
-    EXPECT_EQ(state.totalDropped, 0u);
-    // The window still tracks sojourns for stats.
-    EXPECT_NEAR(state.windowP50Millis, 500.0, 1e-9);
-    EXPECT_GT(state.windowSamples, 0u);
 }
 
 TEST(AdmissionController, UpperMedianSeesOneSlowJobOfTwo)

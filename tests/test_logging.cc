@@ -3,6 +3,8 @@
  * Unit tests for util/logging: fatal() error reporting.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/logging.hh"
@@ -31,6 +33,22 @@ TEST(Logging, FatalIfOnlyThrowsWhenConditionHolds)
 {
     EXPECT_NO_THROW(fatalIf(false, "should not throw"));
     EXPECT_THROW(fatalIf(true, "should throw"), FatalError);
+}
+
+TEST(Logging, FatalIfCarriesLiteralAndBuiltMessages)
+{
+    try {
+        fatalIf(true, "a literal message");
+        FAIL() << "fatalIf() returned";
+    } catch (const FatalError& e) {
+        EXPECT_STREQ(e.what(), "a literal message");
+    }
+    try {
+        fatalIf(true, std::string("a built ") + "message");
+        FAIL() << "fatalIf() returned";
+    } catch (const FatalError& e) {
+        EXPECT_STREQ(e.what(), "a built message");
+    }
 }
 
 TEST(Logging, FatalErrorIsARuntimeError)

@@ -2,14 +2,13 @@
  * @file
  * Tests for the readiness event loop (net/reactor.hh): fd
  * registration and dispatch, interest changes, cross-thread post()
- * wakeup, and the poll fallback backend selected by JCACHE_NET_POLL.
+ * wakeup, and hangup reporting.
  */
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,35 +33,9 @@ makePair()
     return {Socket(fds[0]), Socket(fds[1])};
 }
 
-/**
- * Run the decorated body under both backends.  The poll fallback is
- * selected per-Reactor at construction via the environment, so each
- * iteration builds its reactors after flipping the variable.
- */
-class ReactorBackends : public ::testing::TestWithParam<const char*>
-{
-  protected:
-    void SetUp() override
-    {
-        if (std::string(GetParam()) == "poll")
-            ::setenv("JCACHE_NET_POLL", "1", 1);
-        else
-            ::unsetenv("JCACHE_NET_POLL");
-    }
-
-    void TearDown() override { ::unsetenv("JCACHE_NET_POLL"); }
-};
-
 } // namespace
 
-TEST_P(ReactorBackends, ReportsSelectedBackend)
-{
-    Reactor reactor;
-    ASSERT_TRUE(reactor.valid());
-    EXPECT_EQ(std::string(reactor.backend()), GetParam());
-}
-
-TEST_P(ReactorBackends, DispatchesReadableFd)
+TEST(ReactorTest, DispatchesReadableFd)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -85,7 +58,7 @@ TEST_P(ReactorBackends, DispatchesReadableFd)
     EXPECT_TRUE(seen & kReadable);
 }
 
-TEST_P(ReactorBackends, SetInterestMasksReadiness)
+TEST(ReactorTest, SetInterestMasksReadiness)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -107,7 +80,7 @@ TEST_P(ReactorBackends, SetInterestMasksReadiness)
     EXPECT_EQ(dispatches, 1);
 }
 
-TEST_P(ReactorBackends, WritableInterestFiresImmediately)
+TEST(ReactorTest, WritableInterestFiresImmediately)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -123,7 +96,7 @@ TEST_P(ReactorBackends, WritableInterestFiresImmediately)
     EXPECT_TRUE(seen & kWritable);
 }
 
-TEST_P(ReactorBackends, RemoveStopsDispatch)
+TEST(ReactorTest, RemoveStopsDispatch)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -138,7 +111,7 @@ TEST_P(ReactorBackends, RemoveStopsDispatch)
     EXPECT_EQ(dispatches, 0);
 }
 
-TEST_P(ReactorBackends, RemoveInsideOwnCallbackIsSafe)
+TEST(ReactorTest, RemoveInsideOwnCallbackIsSafe)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -156,7 +129,7 @@ TEST_P(ReactorBackends, RemoveInsideOwnCallbackIsSafe)
     EXPECT_EQ(dispatches, 1);
 }
 
-TEST_P(ReactorBackends, PostRunsOnLoopIteration)
+TEST(ReactorTest, PostRunsOnLoopIteration)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -167,7 +140,7 @@ TEST_P(ReactorBackends, PostRunsOnLoopIteration)
     EXPECT_EQ(ran, 2);
 }
 
-TEST_P(ReactorBackends, PostFromAnotherThreadWakesWait)
+TEST(ReactorTest, PostFromAnotherThreadWakesWait)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -189,7 +162,7 @@ TEST_P(ReactorBackends, PostFromAnotherThreadWakesWait)
               std::chrono::seconds(5));
 }
 
-TEST_P(ReactorBackends, HangupReported)
+TEST(ReactorTest, HangupReported)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -205,7 +178,7 @@ TEST_P(ReactorBackends, HangupReported)
     EXPECT_TRUE(seen & (kReadable | kHangup));
 }
 
-TEST_P(ReactorBackends, ManyFdsDispatchIndependently)
+TEST(ReactorTest, ManyFdsDispatchIndependently)
 {
     Reactor reactor;
     ASSERT_TRUE(reactor.valid());
@@ -231,9 +204,3 @@ TEST_P(ReactorBackends, ManyFdsDispatchIndependently)
     for (int i = 0; i < kPairs; ++i)
         EXPECT_EQ(hits[i], i % 2 == 0 ? 1 : 0) << "pair " << i;
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorBackends,
-                         ::testing::Values("epoll", "poll"),
-                         [](const auto& info) {
-                             return std::string(info.param);
-                         });

@@ -754,9 +754,16 @@ TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
     // the controller arms on the second dequeue and is dropping by
     // the third.  The last job never sheds (nothing behind it), so
     // exactly one of the three waiters bounces.
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::temp_directory_path() /
+         ("jcache_service_codel_" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
     ServiceConfig config = testConfig();
     config.admission.targetMillis = 1.0;
     config.admission.intervalMillis = 25.0;
+    config.storeDir = dir;
     jcache::fault::configure("service.delay=always");
     Service service(config);
 
@@ -803,6 +810,13 @@ TEST(Service, CodelShedsTheMiddleOfASustainedBacklog)
                   .get("wait_seconds")
                   .getNumber("max", 0),
               0.0);
+    // Fields whose values are fixed now that each has one path; they
+    // stay so stats clients keep parsing the same shape.
+    EXPECT_EQ(payload.get("jobs").getString("engine"), "onepass");
+    const JsonValue& store = payload.get("store");
+    EXPECT_TRUE(store.getBool("enabled", false));
+    EXPECT_DOUBLE_EQ(store.getNumber("torn_index", -1), 0.0);
+    fs::remove_all(dir);
 }
 
 TEST(Service, HealthAnswersWhileTheQueueIsSaturated)

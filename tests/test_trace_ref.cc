@@ -202,18 +202,13 @@ TEST(TraceRepository, CacheDirMapsDigestsAndReusesNames)
     TraceRepository repo(config);
 
     // A digest ref resolves straight off the .jcrc file: mapped-only,
-    // no in-memory records until materialization is asked for.
+    // no in-memory records.
     ASSERT_TRUE(repo.knowsDigest(digest));
     ResolvedTrace mapped = repo.resolve(TraceRef::byDigest(digest));
     EXPECT_EQ(mapped.trace, nullptr);
     ASSERT_NE(mapped.source, nullptr);
     EXPECT_EQ(mapped.name, "cached");
     EXPECT_EQ(mapped.identity, trace::traceIdentity(t));
-
-    ResolvedTrace materialized =
-        repo.resolveMaterialized(TraceRef::byDigest(digest));
-    ASSERT_NE(materialized.trace, nullptr);
-    EXPECT_EQ(materialized.trace->records(), t.records());
 
     // A generating repository writes the cache files once; a second
     // repository then serves the name from the cache directory via

@@ -5,6 +5,7 @@
 
 #include "cli_common.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -14,15 +15,42 @@
 namespace jcache::tools
 {
 
-unsigned
-parseUnsigned(const std::string& value, const std::string& flag)
+namespace
 {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-    fatalIf(value.empty() || end == nullptr || *end != '\0',
-            flag + " expects a non-negative integer, got '" + value +
-                "'");
-    return static_cast<unsigned>(parsed);
+
+/**
+ * Digits only, at most `max`.  strtoull alone would accept a sign
+ * (negating "-1" into a huge value) and leading whitespace.
+ */
+std::uint64_t
+parseBounded(const std::string& value, const std::string& flag,
+             std::uint64_t max)
+{
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos)
+        fatal(flag + " expects a non-negative integer, got '" + value +
+              "'");
+    errno = 0;
+    unsigned long long parsed = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE || parsed > max)
+        fatal(flag + " must be at most " + std::to_string(max) +
+              ", got '" + value + "'");
+    return parsed;
+}
+
+} // namespace
+
+unsigned
+parseUnsigned(const std::string& value, const std::string& flag,
+              unsigned max)
+{
+    return static_cast<unsigned>(parseBounded(value, flag, max));
+}
+
+std::uint64_t
+parseUnsigned64(const std::string& value, const std::string& flag)
+{
+    return parseBounded(value, flag, UINT64_MAX);
 }
 
 bool
@@ -49,15 +77,6 @@ parseCommonFlag(int argc, char** argv, int& i, unsigned accepted,
     if ((accepted & kFlagJobs) && flag == "--jobs") {
         fatalIf(i + 1 >= argc, "--jobs expects a value");
         out.jobs = parseUnsigned(argv[++i], "--jobs");
-        return true;
-    }
-    if ((accepted & kFlagEngine) && flag == "--engine") {
-        fatalIf(i + 1 >= argc, "--engine expects a value");
-        std::string value = argv[++i];
-        auto engine = sim::parseEngine(value);
-        fatalIf(!engine, "unknown engine: " + value +
-                             " (use percell|onepass)");
-        out.engine = *engine;
         return true;
     }
     return false;
@@ -93,8 +112,6 @@ commonUsage(unsigned accepted)
         append("[--progress]");
     if (accepted & kFlagJson)
         append("[--json [path]]");
-    if (accepted & kFlagEngine)
-        append("[--engine percell|onepass]");
     return usage;
 }
 

@@ -2,30 +2,30 @@
  * @file
  * The flag surface every jcache tool shares.
  *
- * Five tools grew four flags independently; this header makes them
+ * Five tools grew three flags independently; this header makes them
  * one vocabulary, spelled and parsed identically everywhere:
  *
  *   --jobs N                    worker threads (0 = auto)
  *   --progress                  progress / run summary on stderr
  *   --json [path]               machine-readable output; no path or
  *                               "-" means stdout
- *   --engine percell|onepass    replay engine selection
  *
- * A tool declares which of the four it accepts and calls
+ * A tool declares which of the three it accepts and calls
  * parseCommonFlag() first in its flag loop; anything unclaimed falls
  * through to the tool's own flags.  Malformed values (a non-numeric
- * --jobs, an unknown --engine) throw FatalError with the same message
- * regardless of which tool the user typed them at.
+ * --jobs) throw FatalError with the same message regardless of which
+ * tool the user typed them at.  parseUnsigned() and parseUnsigned64()
+ * are the checked parsers for every numeric tool flag.
  */
 
 #ifndef JCACHE_TOOLS_CLI_COMMON_HH
 #define JCACHE_TOOLS_CLI_COMMON_HH
 
+#include <climits>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
-
-#include "sim/engine.hh"
 
 namespace jcache::tools
 {
@@ -36,7 +36,6 @@ enum CommonFlag : unsigned
     kFlagJobs = 1u << 0,
     kFlagProgress = 1u << 1,
     kFlagJson = 1u << 2,
-    kFlagEngine = 1u << 3,
 };
 
 /** Parsed values of the shared flags. */
@@ -53,9 +52,6 @@ struct CommonFlags
 
     /** --json's optional path; empty or "-" means stdout. */
     std::string jsonPath;
-
-    /** --engine: replay engine. */
-    sim::Engine engine = sim::kDefaultEngine;
 
     /** Does the --json sink go to stdout (no path, or "-")? */
     bool jsonToStdout() const
@@ -77,7 +73,7 @@ bool parseCommonFlag(int argc, char** argv, int& i, unsigned accepted,
 
 /**
  * Usage-string fragment for the accepted shared flags, e.g.
- * "[--jobs N] [--progress] [--json [path]] [--engine percell|onepass]".
+ * "[--jobs N] [--progress] [--json [path]]".
  */
 std::string commonUsage(unsigned accepted);
 
@@ -92,12 +88,19 @@ void writeJsonSink(const CommonFlags& flags,
                    const std::function<void(std::ostream&)>& write);
 
 /**
- * Parse a non-negative decimal integer CLI value.
+ * Parse a non-negative decimal integer CLI value no larger than
+ * `max`.
  *
- * @throws FatalError naming `flag` when `value` is not a number.
+ * @throws FatalError naming `flag` when `value` is empty, has a sign
+ *         or trailing characters, or exceeds `max`.
  */
 unsigned parseUnsigned(const std::string& value,
-                       const std::string& flag);
+                       const std::string& flag,
+                       unsigned max = UINT_MAX);
+
+/** parseUnsigned() for 64-bit values (byte counts, capacities). */
+std::uint64_t parseUnsigned64(const std::string& value,
+                              const std::string& flag);
 
 } // namespace jcache::tools
 

@@ -8,15 +8,13 @@
  *       [--size KB] [--line B] [--assoc N]
  *       [--hit wt|wb] [--miss fow|wv|wa|wi]
  *       [--replacement lru|fifo|random] [--no-flush]
- *       [--jobs N] [--progress] [--json [path]]
- *       [--engine percell|onepass] [--version]
+ *       [--jobs N] [--progress] [--json [path]] [--version]
  *
  * Defaults: 8KB, 16B lines, direct-mapped, write-back,
  * fetch-on-write — the paper's base configuration.
  *
  * The replay goes through the unified engine API (sim::runBatch, a
- * one-request batch); --engine selects the replay strategy, which
- * never changes the printed numbers.  --progress adds the run's
+ * one-request batch).  --progress adds the run's
  * observability summary — wall time, replayed M ins/s — on stderr,
  * --json exports the run report, and --jobs sets the worker width,
  * all spelled identically across every jcache tool.  The statistics
@@ -24,7 +22,7 @@
  * offline run and a service run are byte-identical.
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -44,7 +42,7 @@ using namespace jcache;
 
 constexpr unsigned kCommonFlags = tools::kFlagJobs |
                                   tools::kFlagProgress |
-                                  tools::kFlagJson | tools::kFlagEngine;
+                                  tools::kFlagJson;
 
 int
 usage()
@@ -90,13 +88,12 @@ main(int argc, char** argv)
             std::string value = argv[++i];
             if (flag == "--size") {
                 config.sizeBytes =
-                    std::strtoull(value.c_str(), nullptr, 10) * 1024;
+                    std::uint64_t{tools::parseUnsigned(value, flag)} *
+                    1024;
             } else if (flag == "--line") {
-                config.lineBytes = static_cast<unsigned>(
-                    std::strtoul(value.c_str(), nullptr, 10));
+                config.lineBytes = tools::parseUnsigned(value, flag);
             } else if (flag == "--assoc") {
-                config.assoc = static_cast<unsigned>(
-                    std::strtoul(value.c_str(), nullptr, 10));
+                config.assoc = tools::parseUnsigned(value, flag);
             } else if (flag == "--hit") {
                 auto policy = core::parseHitPolicy(value);
                 fatalIf(!policy, "unknown hit policy: " + value +
@@ -126,7 +123,6 @@ main(int argc, char** argv)
                   *workloads::makeWorkload(source));
 
         sim::BatchOptions options;
-        options.engine = common.engine;
         options.jobs = common.jobs;
         sim::BatchOutcome outcome =
             sim::runBatch({{&trace, config, flush}}, options);

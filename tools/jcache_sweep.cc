@@ -9,7 +9,6 @@
  *       [--metric miss|traffic|dirty]
  *       [--hit wt|wb] [--miss fow|wv|wa|wi]
  *       [--jobs N] [--progress] [--json [path]]
- *       [--engine percell|onepass]
  *       [--trace-out <events.json>]
  *       [--store-dir <dir> [--store-cap-bytes N]]
  *       [--trace-cache-dir <dir>] [--version]
@@ -19,12 +18,11 @@
  *   traffic — back-side transactions per instruction
  *   dirty   — percent of writes to already-dirty lines
  *
- * The sweep runs through the unified engine API (sim::runBatch).
- * Under the default one-pass engine the whole axis shares a single
- * decode of the trace; --engine percell restores the classic
- * one-replay-per-point path.  Either way results are ordered by
- * sweep point, never by completion, so the table is identical at any
- * job count and for both engines — and the axis expansion and table
+ * The sweep runs through the unified engine API (sim::runBatch):
+ * the one-pass engine shares a single decode of the trace across the
+ * whole axis.  Results are ordered by sweep point, never by
+ * completion, so the table is identical at any job count — and the
+ * axis expansion and table
  * rendering are shared with jcache-client, so a service-served sweep
  * is byte-identical too.  --progress reports per-point completion
  * and a run summary on stderr; --json exports the SweepReport
@@ -40,13 +38,13 @@
  * `<digest>.jcrc` once, and every later sweep over the same trace
  * content mmaps it and replays the blocks zero-copy instead of
  * re-decoding records from memory.  Counters are byte-identical
- * with and without the cache; the per-cell engine ignores it.
+ * with and without the cache.
  *
  * --store-dir reads the persistent result store (docs/STORAGE.md)
  * first, simulates only the cells it lacks, publishes those, and
  * reports `store: reused R cells, simulated S cells` on stderr.
  * Cells are keyed exactly like the daemon's (trace identity,
- * canonical config, engine kind and version, API minor), so a hit is
+ * canonical config, engine version, API minor), so a hit is
  * always valid for this sweep and a sweep over a fully populated
  * store prints a table byte-identical to a cold one.  This is also
  * how an interrupted sweep resumes: re-run it with the same
@@ -84,7 +82,7 @@ using namespace jcache;
 
 constexpr unsigned kCommonFlags = tools::kFlagJobs |
                                   tools::kFlagProgress |
-                                  tools::kFlagJson | tools::kFlagEngine;
+                                  tools::kFlagJson;
 
 int
 usage()
@@ -185,8 +183,7 @@ main(int argc, char** argv)
             } else if (flag == "--trace-cache-dir") {
                 trace_cache_dir = value;
             } else if (flag == "--store-cap-bytes") {
-                store_cap_bytes =
-                    std::strtoull(value.c_str(), nullptr, 10);
+                store_cap_bytes = tools::parseUnsigned64(value, flag);
             } else if (flag == "--hit") {
                 auto policy = core::parseHitPolicy(value);
                 if (!policy)
@@ -224,7 +221,7 @@ main(int argc, char** argv)
         // the mmap'd delta blocks instead of the in-memory records:
         // the cache is written once per trace content and mapped on
         // every later sweep.  The in-memory trace still rides along
-        // for the per-cell engine and for rendering.
+        // for keying and rendering.
         std::unique_ptr<trace::MappedReplayCache> mapped;
         if (!trace_cache_dir.empty()) {
             telemetry::Span span("trace.replay_cache", "sim");
@@ -236,7 +233,7 @@ main(int argc, char** argv)
         }
 
         // One request per sweep point; results come back in point
-        // order regardless of completion order or engine.
+        // order regardless of completion order.
         std::vector<sim::Request> requests;
         for (const core::CacheConfig& config : points.configs)
             requests.push_back({&trace, config, false, mapped.get()});
@@ -263,7 +260,6 @@ main(int argc, char** argv)
             result_store.emplace(store_config);
 
             store::KeyContext ctx;
-            ctx.engine = common.engine;
             std::string identity = trace::traceIdentity(trace);
             keys.reserve(points.configs.size());
             for (const core::CacheConfig& config : points.configs)
@@ -293,7 +289,6 @@ main(int argc, char** argv)
             for (std::size_t index : todo)
                 subset.push_back(requests[index]);
             sim::BatchOptions options;
-            options.engine = common.engine;
             options.jobs = common.jobs;
             options.progress = on_progress;
             sim::BatchOutcome fresh = sim::runBatch(subset, options);

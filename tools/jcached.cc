@@ -4,11 +4,9 @@
  *
  * Usage:
  *   jcached [--port N] [--port-file PATH] [--jobs N]
- *           [--engine percell|onepass]
  *           [--coordinator] [--workers HOST:PORT,...]
  *           [--queue N] [--cache N] [--timeout MS]
  *           [--pipeline-cap N]
- *           [--admission codel|queue-cap]
  *           [--admission-target-ms MS] [--admission-interval-ms MS]
  *           [--store-dir PATH] [--store-cap-bytes N]
  *           [--trace-cache-dir PATH]
@@ -22,7 +20,7 @@
  * connections on the way out.  Protocol: docs/SERVICE.md.
  *
  * The front end is service::AsyncServer: every connection is
- * multiplexed onto one epoll/poll event loop, and requests may be
+ * multiplexed onto one epoll event loop, and requests may be
  * pipelined per connection.  --timeout closes a connection idle that
  * long; --pipeline-cap bounds its unanswered requests.
  *
@@ -43,11 +41,10 @@
  * references also resolve against `<digest>.jcrc` files there and
  * replay them mmap'd, without materializing the records.
  *
- * --admission selects the overload policy (docs/RESILIENCE.md):
- * `codel` (default) sheds from the queue front when median sojourn
- * stays above --admission-target-ms for one --admission-interval-ms,
- * on top of the fixed --queue capacity; `queue-cap` restores the
- * capacity-only behavior.
+ * Overload control (docs/RESILIENCE.md): on top of the fixed --queue
+ * capacity, CoDel-style admission sheds from the queue front when
+ * median sojourn stays above --admission-target-ms for one
+ * --admission-interval-ms.
  *
  * --metrics-port arms telemetry and serves Prometheus text exposition
  * on a second loopback port (GET /metrics); --trace-out captures
@@ -93,11 +90,9 @@ usage()
 {
     std::cerr <<
         "usage: jcached [--port N] [--port-file PATH] [--jobs N]\n"
-        "  [--engine percell|onepass]\n"
         "  [--coordinator] [--workers HOST:PORT,...]\n"
         "  [--queue N] [--cache N] [--timeout MS]\n"
         "  [--pipeline-cap N]\n"
-        "  [--admission codel|queue-cap]\n"
         "  [--admission-target-ms MS] [--admission-interval-ms MS]\n"
         "  [--store-dir PATH] [--store-cap-bytes N]\n"
         "  [--trace-cache-dir PATH]\n"
@@ -257,8 +252,7 @@ main(int argc, char** argv)
     std::string workers;
 
     tools::CommonFlags common;
-    constexpr unsigned kCommonFlags =
-        tools::kFlagJobs | tools::kFlagEngine;
+    constexpr unsigned kCommonFlags = tools::kFlagJobs;
     for (int i = 1; i < argc; ++i) {
         std::string flag = argv[i];
         if (flag == "--version") {
@@ -273,69 +267,58 @@ main(int argc, char** argv)
             if (tools::parseCommonFlag(argc, argv, i, kCommonFlags,
                                        common))
                 continue;
+            if (i + 1 >= argc)
+                return usage();
+            std::string value = argv[++i];
+            if (flag == "--port") {
+                config.port = static_cast<std::uint16_t>(
+                    tools::parseUnsigned(value, flag, 65535));
+            } else if (flag == "--port-file") {
+                opt.portFile = value;
+            } else if (flag == "--workers" || flag == "--worker") {
+                workers = value;
+            } else if (flag == "--queue") {
+                config.service.queueCapacity =
+                    tools::parseUnsigned64(value, flag);
+            } else if (flag == "--cache") {
+                config.service.cacheCapacity =
+                    tools::parseUnsigned64(value, flag);
+            } else if (flag == "--timeout") {
+                config.connectionTimeoutMillis =
+                    tools::parseUnsigned(value, flag);
+            } else if (flag == "--pipeline-cap") {
+                config.maxPipelinedRequests =
+                    std::max(1u, tools::parseUnsigned(value, flag));
+            } else if (flag == "--admission-target-ms") {
+                config.service.admission.targetMillis =
+                    std::strtod(value.c_str(), nullptr);
+            } else if (flag == "--admission-interval-ms") {
+                config.service.admission.intervalMillis =
+                    std::strtod(value.c_str(), nullptr);
+            } else if (flag == "--store-dir") {
+                config.service.storeDir = value;
+            } else if (flag == "--trace-cache-dir") {
+                config.service.traceCacheDir = value;
+            } else if (flag == "--store-cap-bytes") {
+                config.service.storeCapBytes =
+                    tools::parseUnsigned64(value, flag);
+            } else if (flag == "--metrics-port") {
+                opt.metrics = true;
+                opt.metricsPort = static_cast<std::uint16_t>(
+                    tools::parseUnsigned(value, flag, 65535));
+            } else if (flag == "--metrics-port-file") {
+                opt.metricsPortFile = value;
+            } else if (flag == "--trace-out") {
+                opt.traceOut = value;
+            } else {
+                return usage();
+            }
         } catch (const FatalError& e) {
             std::cerr << "error: " << e.what() << "\n";
             return usage();
         }
-        if (i + 1 >= argc)
-            return usage();
-        std::string value = argv[++i];
-        if (flag == "--port") {
-            config.port = static_cast<std::uint16_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--port-file") {
-            opt.portFile = value;
-        } else if (flag == "--workers" || flag == "--worker") {
-            workers = value;
-        } else if (flag == "--queue") {
-            config.service.queueCapacity =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--cache") {
-            config.service.cacheCapacity =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--timeout") {
-            config.connectionTimeoutMillis = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--pipeline-cap") {
-            config.maxPipelinedRequests = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-            if (config.maxPipelinedRequests == 0)
-                config.maxPipelinedRequests = 1;
-        } else if (flag == "--admission") {
-            auto mode = service::parseAdmissionMode(value);
-            if (!mode) {
-                std::cerr << "error: --admission must be codel or "
-                             "queue-cap\n";
-                return usage();
-            }
-            config.service.admission.mode = *mode;
-        } else if (flag == "--admission-target-ms") {
-            config.service.admission.targetMillis =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--admission-interval-ms") {
-            config.service.admission.intervalMillis =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--store-dir") {
-            config.service.storeDir = value;
-        } else if (flag == "--trace-cache-dir") {
-            config.service.traceCacheDir = value;
-        } else if (flag == "--store-cap-bytes") {
-            config.service.storeCapBytes =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--metrics-port") {
-            opt.metrics = true;
-            opt.metricsPort = static_cast<std::uint16_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--metrics-port-file") {
-            opt.metricsPortFile = value;
-        } else if (flag == "--trace-out") {
-            opt.traceOut = value;
-        } else {
-            return usage();
-        }
     }
     config.service.executorThreads = common.jobs;
-    config.service.engine = common.engine;
 
     if (coordinator && workers.empty()) {
         std::cerr << "error: --coordinator requires --workers\n";
@@ -367,8 +350,6 @@ main(int argc, char** argv)
                       << " worker(s)\n";
 
         service::AsyncServer server(config);
-        std::cerr << "jcached: reactor front end ("
-                  << server.backend() << ")\n";
         return serveDaemon(server, opt);
     } catch (const FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
