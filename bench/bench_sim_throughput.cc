@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -327,6 +328,69 @@ BM_OnePassSweepMapped(benchmark::State& state)
         static_cast<double>(requests.size());
 }
 
+/**
+ * Size-stack unit cost: Figure 20's grid (write-back fetch-on-write,
+ * the eight standard sizes at 16B lines, flushed; one stack) when the
+ * argument is 20, Figure 13's (write-through, the four miss policies
+ * over the same sizes; three stacks plus eight write-validate lanes)
+ * when it is 13.  One trace, one worker.  ns_per_record is a grid
+ * replay's wall time per trace record; speedup_vs_percell compares it
+ * with Engine::PerCell on the same grid.
+ */
+void
+BM_SizeStack(benchmark::State& state)
+{
+    const trace::Trace& trace = sim::TraceSet::standard().get("grr");
+    const bool fig20 = state.range(0) == 20;
+    std::vector<sim::Request> requests;
+    for (Count size : sim::standardCacheSizes()) {
+        core::CacheConfig c;
+        c.sizeBytes = size;
+        c.lineBytes = 16;
+        if (fig20) {
+            c.hitPolicy = core::WriteHitPolicy::WriteBack;
+            requests.push_back({&trace, c, true});
+            continue;
+        }
+        for (core::WriteMissPolicy miss :
+             {core::WriteMissPolicy::FetchOnWrite,
+              core::WriteMissPolicy::WriteValidate,
+              core::WriteMissPolicy::WriteAround,
+              core::WriteMissPolicy::WriteInvalidate}) {
+            c.missPolicy = miss;
+            requests.push_back({&trace, c, false});
+        }
+    }
+
+    sim::BatchOptions options;
+    options.jobs = 1;
+    auto timeBatch = [&](sim::Engine engine) {
+        options.engine = engine;
+        auto start = std::chrono::steady_clock::now();
+        sim::BatchOutcome outcome = sim::runBatch(requests, options);
+        benchmark::DoNotOptimize(outcome.results.data());
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    // Per-cell reference, measured once per grid.
+    static std::map<std::int64_t, double> percell;
+    if (!percell.count(state.range(0)))
+        percell[state.range(0)] = timeBatch(sim::Engine::PerCell);
+    const double percell_seconds = percell[state.range(0)];
+
+    double wall = 0.0;
+    for (auto _ : state)
+        wall += timeBatch(sim::Engine::OnePass);
+    const double iterations = static_cast<double>(state.iterations());
+    state.counters["ns_per_record"] =
+        1e9 * wall / iterations / static_cast<double>(trace.size());
+    state.counters["speedup_vs_percell"] =
+        wall > 0.0 ? percell_seconds * iterations / wall : 0.0;
+    state.counters["grid_cells"] =
+        static_cast<double>(requests.size());
+}
+
 BENCHMARK(BM_WriteBackFetchOnWrite);
 BENCHMARK(BM_WriteThroughWriteValidate);
 BENCHMARK(BM_WriteThroughWriteAround);
@@ -341,6 +405,11 @@ BENCHMARK(BM_GridSweepParallel)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnePassSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OnePassSweepMapped)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SizeStack)
+    ->ArgName("figure")
+    ->Arg(20)
+    ->Arg(13)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

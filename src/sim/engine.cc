@@ -3,14 +3,16 @@
  * Implementation of the unified simulation entry point.
  *
  * The one-pass batch path does the request bookkeeping runTracePass()
- * stays out of: grouping by trace, deduplicating identical cells, and
- * chunking lanes so the executor can run passes in parallel without
- * any pass's lane state outgrowing the cache hierarchy.
+ * stays out of: grouping by trace, deduplicating identical cells,
+ * giving each size stack a pass of its own, and chunking the other
+ * lanes so the executor can run passes in parallel without any
+ * pass's lane state outgrowing the cache hierarchy.
  */
 
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -52,12 +54,11 @@ struct TraceGroup
     std::vector<std::vector<std::size_t>> covers;
 };
 
-/** A contiguous slice of one group's lanes, run as one pass. */
+/** Some of one group's lanes, run as one pass. */
 struct Chunk
 {
     const TraceGroup* group = nullptr;
-    std::size_t first = 0;  //!< first lane index within the group
-    std::size_t count = 0;  //!< lanes in this chunk
+    std::vector<std::size_t> lanes;  //!< lane indices within the group
 };
 
 BatchOutcome
@@ -114,19 +115,30 @@ runBatchOnePass(const std::vector<Request>& requests,
         group->covers[lane].push_back(i);
     }
 
-    // Chunk each group's lanes so the pool can overlap passes.
+    // Each size stack is a pass of its own; the other lanes are
+    // chunked so the pool can overlap passes.  Stacks go last: they
+    // are the cheapest passes, so they fill in behind the chunks.
     const unsigned jobs =
         options.jobs == 0 ? defaultJobs() : options.jobs;
     const std::size_t lanes_per_chunk =
         jobs == 1 ? kLanesPerChunkSerial : kLanesPerChunk;
     std::vector<Chunk> chunks;
-    for (const TraceGroup& group : groups)
-        for (std::size_t first = 0; first < group.lanes.size();
-             first += lanes_per_chunk)
-            chunks.push_back(
-                Chunk{&group, first,
-                      std::min(lanes_per_chunk,
-                               group.lanes.size() - first)});
+    std::vector<Chunk> stacks;
+    for (const TraceGroup& group : groups) {
+        LanePlan plan = planLanes(group.lanes);
+        for (std::size_t first = 0; first < plan.alone.size();
+             first += lanes_per_chunk) {
+            auto begin = plan.alone.begin() + first;
+            chunks.push_back(Chunk{
+                &group,
+                {begin, begin + std::min(lanes_per_chunk,
+                                         plan.alone.size() - first)}});
+        }
+        for (std::vector<std::size_t>& stack : plan.stacks)
+            stacks.push_back(Chunk{&group, std::move(stack)});
+    }
+    chunks.insert(chunks.end(), std::make_move_iterator(stacks.begin()),
+                  std::make_move_iterator(stacks.end()));
 
     BatchOutcome outcome;
     outcome.results.assign(requests.size(), Result{});
@@ -141,24 +153,24 @@ runBatchOnePass(const std::vector<Request>& requests,
         chunks.size(), [&](std::size_t ci) -> Count {
             const Chunk& chunk = chunks[ci];
             const TraceGroup& group = *chunk.group;
-            std::vector<LaneSpec> lanes(
-                group.lanes.begin() + chunk.first,
-                group.lanes.begin() + chunk.first + chunk.count);
+            std::vector<LaneSpec> lanes;
+            for (std::size_t lane : chunk.lanes)
+                lanes.push_back(group.lanes[lane]);
             std::vector<Result> results =
                 group.source ? runTracePass(*group.source, lanes)
                              : runTracePass(*group.trace, lanes);
             Count replayed = 0;
             for (std::size_t k = 0; k < results.size(); ++k) {
                 replayed = results[k].instructions;
-                for (std::size_t ri : group.covers[chunk.first + k]) {
+                for (std::size_t ri : group.covers[chunk.lanes[k]]) {
                     outcome.results[ri] = results[k];
                     timings[ri].instructions = results[k].instructions;
                 }
             }
             if (options.progress) {
                 std::size_t covered = 0;
-                for (std::size_t k = 0; k < chunk.count; ++k)
-                    covered += group.covers[chunk.first + k].size();
+                for (std::size_t lane : chunk.lanes)
+                    covered += group.covers[lane].size();
                 std::lock_guard<std::mutex> lock(progress_mutex);
                 done += covered;
                 options.progress(done, requests.size());
@@ -179,20 +191,20 @@ runBatchOnePass(const std::vector<Request>& requests,
         const Chunk& chunk = chunks[ci];
         const TraceGroup& group = *chunk.group;
         std::size_t covered = 0;
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            covered += group.covers[chunk.first + k].size();
+        for (std::size_t lane : chunk.lanes)
+            covered += group.covers[lane].size();
         if (covered == 0)
             continue;
         double share = chunkWall[ci] / static_cast<double>(covered);
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            for (std::size_t ri : group.covers[chunk.first + k])
+        for (std::size_t lane : chunk.lanes)
+            for (std::size_t ri : group.covers[lane])
                 timings[ri].wallSeconds = share;
     }
     for (const JobFailure& failure : chunk_report.failures) {
         const Chunk& chunk = chunks[failure.index];
         const TraceGroup& group = *chunk.group;
-        for (std::size_t k = 0; k < chunk.count; ++k)
-            for (std::size_t ri : group.covers[chunk.first + k])
+        for (std::size_t lane : chunk.lanes)
+            for (std::size_t ri : group.covers[lane])
                 outcome.report.failures.push_back(
                     JobFailure{ri, failure.message});
     }

@@ -21,10 +21,16 @@
  * order, and counter accumulation is integer addition, which is
  * associative and commutative.  tests/test_simd.cc and the engine
  * differential suite verify the equivalence on adversarial traces.
+ *
+ * SizeStack replays cells that differ only in size with one probe
+ * walk per piece; its counters follow from the inclusion properties
+ * docs/ENGINE.md proves, and the engine differential suite holds it
+ * to the per-cell engine on random stacks.
  */
 
 #include "sim/multiconfig.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -791,7 +797,324 @@ struct DecodeGroup
     }
 };
 
+/** Can this fast-lane configuration join a size stack? */
+bool
+stackable(const core::CacheConfig& c)
+{
+    if (!fastLaneEligible(c))
+        return false;
+    if (c.hitPolicy == core::WriteHitPolicy::WriteBack)
+        return c.missPolicy == WriteMissPolicy::FetchOnWrite;
+    return c.missPolicy != WriteMissPolicy::WriteValidate;
+}
+
+/**
+ * A size stack: direct-mapped, byte-granular caches that share the
+ * trace, line size, hit policy and one of the four inclusive policy
+ * pairs (WB + fetch-on-write; WT + fetch-on-write, write-around or
+ * write-invalidate), one level per size, smallest first.
+ *
+ * Under those policies a line resident in one level is resident in
+ * every larger level, a resident line is fully valid, and under WB
+ * a level's dirty mask for a line contains every smaller level's
+ * (docs/ENGINE.md proves all three).  So per piece the stack probes
+ * levels from the smallest up and stops at the first tag hit k*:
+ * every level from k* up hits, which is counted once in a histogram
+ * over k*; only the levels below k* run miss handling.  Hit, miss,
+ * fetch and write-through counts follow from the histograms when a
+ * result is read; victims, dirty victims and invalidations are
+ * counted per level as they happen.  No level keeps valid masks.
+ */
+class SizeStack
+{
+  public:
+    /** `sizes` ascending and distinct; `base` supplies the rest. */
+    SizeStack(const core::CacheConfig& base,
+              const std::vector<Count>& sizes)
+        : base_(base), wb_(base.hitPolicy == core::WriteHitPolicy::WriteBack),
+          levels_(sizes.size()), readHist_(sizes.size() + 1, 0),
+          writeHist_(sizes.size() + 1, 0), dirtyHist_(sizes.size() + 1, 0)
+    {
+        while ((1u << lineShift_) < base.lineBytes)
+            ++lineShift_;
+        for (std::size_t j = 0; j < sizes.size(); ++j) {
+            const std::size_t lines = sizes[j] / base.lineBytes;
+            levels_[j].tags.assign(lines, kNoTag);
+            if (wb_)
+                levels_[j].dirty.assign(lines, 0);
+        }
+    }
+
+    /** Replay one block of records, policy chosen once here. */
+    void replay(const trace::TraceRecord* recs, std::size_t n)
+    {
+        if (wb_) {
+            replayT<true, WriteMissPolicy::FetchOnWrite>(recs, n);
+            return;
+        }
+        switch (base_.missPolicy) {
+          case WriteMissPolicy::FetchOnWrite:
+            replayT<false, WriteMissPolicy::FetchOnWrite>(recs, n);
+            break;
+          case WriteMissPolicy::WriteAround:
+            replayT<false, WriteMissPolicy::WriteAround>(recs, n);
+            break;
+          case WriteMissPolicy::WriteInvalidate:
+            replayT<false, WriteMissPolicy::WriteInvalidate>(recs, n);
+            break;
+          case WriteMissPolicy::WriteValidate:
+            break;  // never stacked: valid masks break inclusion
+        }
+    }
+
+    /**
+     * Level `j`'s result under `config` (a cell at that size), with
+     * the end-of-trace flush of FastLane::flush() when `flush`.
+     */
+    RunResult result(std::size_t j, const core::CacheConfig& config,
+                     bool flush, Count instructions) const
+    {
+        const bool fow =
+            base_.missPolicy == WriteMissPolicy::FetchOnWrite;
+        Count reads = 0, writes = 0, readHits = 0, writeHits = 0;
+        Count dirtyWrites = 0;
+        for (std::size_t k = 0; k < readHist_.size(); ++k) {
+            reads += readHist_[k];
+            writes += writeHist_[k];
+            if (k <= j) {
+                readHits += readHist_[k];
+                writeHits += writeHist_[k];
+                dirtyWrites += dirtyHist_[k];
+            }
+        }
+        const Level& level = levels_[j];
+        RunResult r;
+        r.config = config;
+        r.instructions = instructions;
+        core::CacheStats& s = r.cache;
+        s.reads = reads;
+        s.readHits = readHits;
+        s.readMisses = reads - readHits;
+        s.writes = writes;
+        s.writeHits = writeHits;
+        s.writeMisses = writes - writeHits;
+        s.writeMissFetches = fow ? s.writeMisses : 0;
+        s.linesFetched = s.readMisses + s.writeMissFetches;
+        s.writesToDirtyLines = dirtyWrites;
+        s.writeThroughs = wb_ ? 0 : writes;
+        s.invalidations = level.inval;
+        s.victims = level.victims;
+        s.dirtyVictims = level.dirtyVictims;
+        s.dirtyVictimDirtyBytes = level.dvBytes;
+        r.fetchTraffic.transactions = s.linesFetched;
+        r.fetchTraffic.bytes = s.linesFetched * base_.lineBytes;
+        r.writeThroughTraffic.transactions = s.writeThroughs;
+        r.writeThroughTraffic.bytes = wb_ ? 0 : writeBytes_;
+        r.writeBackTraffic.transactions = s.dirtyVictims;
+        r.writeBackTraffic.bytes = s.dirtyVictimDirtyBytes;
+        if (flush) {
+            for (std::size_t i = 0; i < level.tags.size(); ++i) {
+                if (level.tags[i] == kNoTag)
+                    continue;
+                ++s.flushedValidLines;
+                if (wb_ && level.dirty[i] != 0) {
+                    ++s.flushedDirtyLines;
+                    s.flushedDirtyBytes += popcount(level.dirty[i]);
+                }
+            }
+            r.flushTraffic.transactions = s.flushedDirtyLines;
+            r.flushTraffic.bytes = s.flushedDirtyBytes;
+        }
+        return r;
+    }
+
+  private:
+    /**
+     * Most levels a stack can hold: sizes are validated powers of two
+     * in 64 bits, so there are at most 64 distinct ones.
+     */
+    static constexpr std::size_t kMaxLevels = 64;
+
+    /** One level's lines and the counters only it can keep. */
+    struct Level
+    {
+        std::vector<Addr> tags;       //!< per line (kNoTag = empty)
+        std::vector<ByteMask> dirty;  //!< per line (WB only)
+        Count victims = 0, dirtyVictims = 0, dvBytes = 0, inval = 0;
+    };
+
+    template <bool WB, WriteMissPolicy MP>
+    void replayT(const trace::TraceRecord* recs, std::size_t n)
+    {
+        // The level arrays and this block's counters live in locals,
+        // which stores through the tag arrays cannot alias; they are
+        // folded into the members once per block.
+        const std::size_t K = levels_.size();
+        Addr* T[kMaxLevels];
+        ByteMask* D[kMaxLevels];
+        std::uint64_t im[kMaxLevels];
+        Count victims[kMaxLevels] = {}, dirtyVictims[kMaxLevels] = {};
+        Count dvBytes[kMaxLevels] = {}, inval[kMaxLevels] = {};
+        Count rh[kMaxLevels + 1] = {}, wh[kMaxLevels + 1] = {};
+        Count dh[kMaxLevels + 1] = {};
+        for (std::size_t j = 0; j < K; ++j) {
+            T[j] = levels_[j].tags.data();
+            D[j] = levels_[j].dirty.data();
+            im[j] = levels_[j].tags.size() - 1;
+        }
+        const unsigned lineBytes = base_.lineBytes;
+        const unsigned shift = lineShift_;
+        const Addr lm = lineBytes - 1;
+        Count writeBytes = 0;
+
+        auto piece = [&](Addr la, ByteMask mask, unsigned size,
+                         bool read) {
+            // Probe from the smallest level up to the first tag hit
+            // k*; each level that misses on the way runs its miss
+            // handling (DataCache::evict and a fill, or an
+            // invalidation).  The counters stay branch-free: an empty
+            // line counts as no victim and a clean one adds no bytes.
+            std::size_t k = 0;
+            for (; k < K; ++k) {
+                Addr& tag = T[k][la & im[k]];
+                if (tag == la)
+                    break;
+                if (read || MP == WriteMissPolicy::FetchOnWrite) {
+                    victims[k] += tag != kNoTag;
+                    if (WB) {
+                        ByteMask& dm = D[k][la & im[k]];
+                        dirtyVictims[k] += dm != 0;
+                        dvBytes[k] += popcount(dm);
+                        dm = read ? 0 : mask;
+                    }
+                    tag = la;
+                } else if (MP == WriteMissPolicy::WriteInvalidate) {
+                    inval[k] += tag != kNoTag;
+                    tag = kNoTag;
+                }
+            }
+            if (read) {
+                ++rh[k];
+                return;
+            }
+            ++wh[k];
+            writeBytes += size;
+            if (WB) {
+                // OR the piece into the hit levels' dirty masks,
+                // noting the first level already dirty (d*).  A
+                // level whose mask covers the piece ends the walk:
+                // every larger level's mask contains it.
+                std::size_t d = K;
+                for (std::size_t j = k; j < K; ++j) {
+                    ByteMask& dm = D[j][la & im[j]];
+                    if (dm != 0) {
+                        if (d == K)
+                            d = j;
+                        if ((dm & mask) == mask)
+                            break;
+                    }
+                    dm |= mask;
+                }
+                ++dh[d];
+            }
+        };
+
+        for (std::size_t r = 0; r < n; ++r) {
+            const trace::TraceRecord& rec = recs[r];
+            const bool read = rec.type == trace::RefType::Read;
+            Addr addr = rec.addr;
+            unsigned size = rec.size;
+            unsigned off = static_cast<unsigned>(addr & lm);
+            if (off + size <= lineBytes) [[likely]] {
+                piece(addr >> shift, byteMaskFor(off, size), size, read);
+                continue;
+            }
+            // A line-crossing record: split it as decodeBlock does.
+            while (size != 0) {
+                off = static_cast<unsigned>(addr & lm);
+                const unsigned part =
+                    size < lineBytes - off ? size : lineBytes - off;
+                piece(addr >> shift, byteMaskFor(off, part), part, read);
+                size -= part;
+                addr += part;
+            }
+        }
+
+        for (std::size_t j = 0; j < K; ++j) {
+            levels_[j].victims += victims[j];
+            levels_[j].dirtyVictims += dirtyVictims[j];
+            levels_[j].dvBytes += dvBytes[j];
+            levels_[j].inval += inval[j];
+        }
+        for (std::size_t k = 0; k <= K; ++k) {
+            readHist_[k] += rh[k];
+            writeHist_[k] += wh[k];
+            dirtyHist_[k] += dh[k];
+        }
+        writeBytes_ += writeBytes;
+    }
+
+    core::CacheConfig base_;
+    bool wb_;
+    unsigned lineShift_ = 0;
+    std::vector<Level> levels_;
+
+    /** Pieces by the first level that hit (index K: none did). */
+    std::vector<Count> readHist_, writeHist_;
+
+    /** WB write pieces by the first hit level already dirty. */
+    std::vector<Count> dirtyHist_;
+
+    /** Bytes of all write pieces (WT write-through bytes). */
+    Count writeBytes_ = 0;
+};
+
 } // namespace
+
+LanePlan
+planLanes(const std::vector<LaneSpec>& lanes)
+{
+    // Stack candidates keyed by (line size, hit policy, miss policy),
+    // in first-seen order; a key with one distinct size stays alone.
+    std::vector<std::vector<std::size_t>> candidates;
+    std::vector<std::size_t> alone;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        const core::CacheConfig& c = lanes[i].config;
+        if (!stackable(c)) {
+            alone.push_back(i);
+            continue;
+        }
+        std::vector<std::size_t>* group = nullptr;
+        for (std::vector<std::size_t>& g : candidates) {
+            const core::CacheConfig& h = lanes[g.front()].config;
+            if (h.lineBytes == c.lineBytes &&
+                h.hitPolicy == c.hitPolicy &&
+                h.missPolicy == c.missPolicy) {
+                group = &g;
+                break;
+            }
+        }
+        if (group)
+            group->push_back(i);
+        else
+            candidates.push_back({i});
+    }
+
+    LanePlan plan;
+    for (std::vector<std::size_t>& g : candidates) {
+        bool several_sizes = false;
+        for (std::size_t i : g)
+            several_sizes |= lanes[i].config.sizeBytes !=
+                             lanes[g.front()].config.sizeBytes;
+        if (several_sizes)
+            plan.stacks.push_back(std::move(g));
+        else
+            alone.insert(alone.end(), g.begin(), g.end());
+    }
+    std::sort(alone.begin(), alone.end());
+    plan.alone = std::move(alone);
+    return plan;
+}
 
 bool
 fastLaneEligible(const core::CacheConfig& config)
@@ -812,18 +1135,44 @@ runTracePass(const trace::ReplaySource& source,
     {
         std::unique_ptr<FastLane> fast;
         std::unique_ptr<GenericLane> generic;
+        const SizeStack* stack = nullptr;
+        std::size_t level = 0;  //!< this lane's level in `stack`
         bool flushAtEnd = false;
     };
     std::vector<Slot> slots(lanes.size());
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        lanes[i].config.validate();
+        slots[i].flushAtEnd = lanes[i].flushAtEnd;
+    }
+
+    // Each stack gets one level per distinct size; lanes at one size
+    // (differing only in flush or replacement) share that level.
+    const LanePlan plan = planLanes(lanes);
+    std::vector<std::unique_ptr<SizeStack>> stacks;
+    for (const std::vector<std::size_t>& members : plan.stacks) {
+        std::vector<Count> sizes;
+        for (std::size_t i : members)
+            sizes.push_back(lanes[i].config.sizeBytes);
+        std::sort(sizes.begin(), sizes.end());
+        sizes.erase(std::unique(sizes.begin(), sizes.end()),
+                    sizes.end());
+        stacks.push_back(std::make_unique<SizeStack>(
+            lanes[members.front()].config, sizes));
+        for (std::size_t i : members) {
+            slots[i].stack = stacks.back().get();
+            slots[i].level = static_cast<std::size_t>(
+                std::lower_bound(sizes.begin(), sizes.end(),
+                                 lanes[i].config.sizeBytes) -
+                sizes.begin());
+        }
+    }
 
     // Fast lanes sharing a line size share one decode of each block;
     // within a line size, lanes of one hit policy replay together so
     // the vector tiles agree on what a write hit does (the miss
     // policy is per-lane, consulted only off the fast path).
     std::map<unsigned, DecodeGroup> groups;
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        lanes[i].config.validate();
-        slots[i].flushAtEnd = lanes[i].flushAtEnd;
+    for (std::size_t i : plan.alone) {
         if (fastLaneEligible(lanes[i].config)) {
             slots[i].fast =
                 std::make_unique<FastLane>(lanes[i].config);
@@ -847,12 +1196,16 @@ runTracePass(const trace::ReplaySource& source,
         ++block_count;
         for (std::size_t k = 0; k < block.count; ++k)
             instructions += block.records[k].instrDelta;
+        for (std::unique_ptr<SizeStack>& stack : stacks)
+            stack->replay(block.records, block.count);
         auto decodeAll = [&] {
             for (auto& [line_bytes, group] : groups)
                 decodeBlock(block.records, block.count, line_bytes,
                             group.lineShift, group.pieces);
         };
-        if (telemetry::tracing()) {
+        // Stacks and generic lanes read the records directly; only
+        // fast lanes need the decode.
+        if (!groups.empty() && telemetry::tracing()) {
             telemetry::Span decode("sweep.block_decode", "sim");
             decode.arg("records", std::to_string(block.count));
             decode.arg("line_sizes", std::to_string(groups.size()));
@@ -875,8 +1228,13 @@ runTracePass(const trace::ReplaySource& source,
 
     std::vector<RunResult> results;
     results.reserve(lanes.size());
-    for (Slot& slot : slots) {
-        if (slot.fast) {
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        Slot& slot = slots[i];
+        if (slot.stack) {
+            results.push_back(slot.stack->result(
+                slot.level, lanes[i].config, slot.flushAtEnd,
+                instructions));
+        } else if (slot.fast) {
             if (slot.flushAtEnd)
                 slot.fast->flush();
             results.push_back(slot.fast->result(instructions));

@@ -10,14 +10,22 @@
  * before moving on, so the record stream is read once and all lane
  * state stays hot.
  *
- * Two lane kinds share that outer loop:
+ * Three lane kinds share that outer loop:
  *
- *  - **Fast lanes** — direct-mapped, byte-granularity configurations
- *    (every grid the paper's Figures 13-16 sweep).  State is kept as
- *    structure-of-arrays (tags / valid masks / dirty masks), a
- *    sentinel tag makes the hit test a single compare, and the write
- *    policies are template parameters so policy dispatch happens once
- *    per block instead of once per access.  Lanes with the same line
+ *  - **Size stacks** — fast-lane cells that differ only in size,
+ *    under a policy pair for which a smaller direct-mapped cache's
+ *    lines are always a subset of a larger one's (WB +
+ *    fetch-on-write; WT + fetch-on-write, write-around or
+ *    write-invalidate).  One probe walk per piece, smallest size
+ *    first, serves every size; the stack reads the block's records
+ *    directly, so it needs no decode (docs/ENGINE.md).
+ *  - **Fast lanes** — the other direct-mapped, byte-granularity
+ *    configurations (write-validate, line-size sweeps, single
+ *    sizes).  State is kept as structure-of-arrays (tags / valid
+ *    masks / dirty masks), a sentinel tag makes the hit test a single
+ *    compare, and the write policies are template parameters so
+ *    policy dispatch happens once per block instead of once per
+ *    access.  Lanes with the same line
  *    size additionally share one decode of each block into
  *    line-aligned pieces, and lanes that also share a write policy
  *    replay in vector batches: four lanes at a time, with the tag
@@ -73,6 +81,28 @@ struct LaneSpec
  */
 bool fastLaneEligible(const core::CacheConfig& config);
 
+/** How the lanes of one pass replay: as size stacks or alone. */
+struct LanePlan
+{
+    /**
+     * Lane indices of each size stack: fast-lane cells that share
+     * line size, hit policy and an inclusive miss policy (WB +
+     * fetch-on-write; WT + fetch-on-write, write-around or
+     * write-invalidate) and span at least two sizes.
+     */
+    std::vector<std::vector<std::size_t>> stacks;
+
+    /** Every other lane index, ascending: fast or generic lanes. */
+    std::vector<std::size_t> alone;
+};
+
+/**
+ * Split `lanes` into size stacks and lanes that replay alone.
+ * runTracePass() replays each stack with one probe walk per piece;
+ * runBatch() gives each stack its own pass.
+ */
+LanePlan planLanes(const std::vector<LaneSpec>& lanes);
+
 /**
  * Replay `source` once through every lane.
  *
@@ -86,9 +116,10 @@ bool fastLaneEligible(const core::CacheConfig& config);
  * @return one RunResult per lane, in `lanes` order, byte-identical to
  *         runTrace(trace, lanes[i].config, lanes[i].flushAtEnd).
  *
- * Emits `sweep.trace_pass` and per-block `sweep.block_decode` spans,
- * and advances the `jcache_engine_records_total` and
- * `jcache_engine_blocks_total` counters when telemetry is armed.
+ * Emits `sweep.trace_pass` and, when fast lanes need a decode,
+ * per-block `sweep.block_decode` spans, and advances the
+ * `jcache_engine_records_total` and `jcache_engine_blocks_total`
+ * counters when telemetry is armed.
  */
 std::vector<RunResult>
 runTracePass(const trace::ReplaySource& source,

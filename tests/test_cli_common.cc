@@ -3,7 +3,8 @@
  * Tests for the tools' shared flag parsing (tools/cli_common.hh):
  * the checked numeric parsers reject signs, empty values, trailing
  * characters and out-of-range values instead of wrapping or
- * truncating them, and --jobs goes through the same check.
+ * truncating them, the double parser takes only finite values above
+ * zero, and --jobs goes through the same check.
  */
 
 #include <cstdint>
@@ -86,6 +87,33 @@ TEST(ParseUnsigned64, CoversTheFull64BitRange)
     for (const char* bad : {"-1", "", "12x"})
         EXPECT_THROW(tools::parseUnsigned64(bad, "--cap"), FatalError)
             << "'" << bad << "'";
+}
+
+TEST(ParsePositiveDouble, AcceptsFinitePositiveDecimals)
+{
+    EXPECT_EQ(tools::parsePositiveDouble("50", "--rate"), 50.0);
+    EXPECT_EQ(tools::parsePositiveDouble("0.5", "--rate"), 0.5);
+    EXPECT_EQ(tools::parsePositiveDouble("2.5e2", "--rate"), 250.0);
+    EXPECT_EQ(tools::parsePositiveDouble("45.5", "--rate"), 45.5);
+}
+
+TEST(ParsePositiveDouble, RejectsZeroSignsNonFiniteAndTrailingText)
+{
+    // Bare strtod would take "5x" as 5, "abc" as 0 and "inf" as an
+    // infinite rate.
+    for (const char* bad : {"0", "0.0", "-5", "-0", "", " 5", "5 ",
+                            "5x", "abc", "inf", "-inf", "nan",
+                            "1e999", "1e-400"}) {
+        try {
+            tools::parsePositiveDouble(bad, "--rate");
+            ADD_FAILURE() << "'" << bad << "' was accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "--rate expects a finite number above zero"),
+                      std::string::npos)
+                << "'" << bad << "' gave: " << e.what();
+        }
+    }
 }
 
 TEST(ParseCommonFlag, JobsValueIsChecked)

@@ -5,12 +5,14 @@
  * byte-identical to the per-cell reference — every counter, every
  * traffic class, and the rendered table/JSON output — plus the
  * configurations the fast lane cannot take (write-back with flush,
- * associative, coarse valid granularity) and the empty trace.
+ * associative, coarse valid granularity), the empty trace, and
+ * seeded random size stacks mixed with lanes that replay alone.
  */
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -411,6 +413,251 @@ TEST(EngineDifferential, MappedReplaySourceIsByteIdentical)
                   resultJson(from_cache.results[i]));
     }
     fs::remove_all(dir);
+}
+
+/** One of the four policy pairs a size stack accepts. */
+struct StackPolicy
+{
+    WriteHitPolicy hit;
+    WriteMissPolicy miss;
+};
+
+const StackPolicy kStackPolicies[] = {
+    {WriteHitPolicy::WriteBack, WriteMissPolicy::FetchOnWrite},
+    {WriteHitPolicy::WriteThrough, WriteMissPolicy::FetchOnWrite},
+    {WriteHitPolicy::WriteThrough, WriteMissPolicy::WriteAround},
+    {WriteHitPolicy::WriteThrough, WriteMissPolicy::WriteInvalidate},
+};
+
+trace::TraceRecord
+ref(Addr addr, bool write, std::uint8_t size)
+{
+    trace::TraceRecord r;
+    r.addr = addr;
+    r.size = size;
+    r.type = write ? trace::RefType::Write : trace::RefType::Read;
+    r.instrDelta = 1 + static_cast<std::uint32_t>(addr % 3);
+    return r;
+}
+
+/**
+ * Synthetic traces for the stack differential: a strided walk over
+ * more memory than the largest cache, a hot set with cold misses and
+ * mixed access sizes, and 8B accesses at 2 mod 4, which a 4B-line
+ * cache splits into three pieces.
+ */
+std::vector<trace::Trace>
+stackTraces()
+{
+    std::mt19937_64 rng(0x57ac);
+    std::vector<trace::Trace> out;
+
+    trace::Trace strided("strided");
+    for (unsigned pass = 0; pass < 3; ++pass)
+        for (Addr i = 0; i < 6000; ++i) {
+            const Addr stride = 4u << (i % 6);
+            strided.append(ref(0x10000 + (i * stride) % (160 * 1024),
+                               (i + pass) % 3 == 0, 4));
+        }
+    out.push_back(std::move(strided));
+
+    trace::Trace hot("hot_set");
+    for (unsigned i = 0; i < 20000; ++i) {
+        const unsigned size = 1u << (rng() % 4);
+        const Addr base = rng() % 8 == 0 ? 0x100000 + rng() % (256 * 1024)
+                                         : 0x4000 + rng() % (6 * 1024);
+        hot.append(ref(base & ~Addr{size - 1}, rng() % 5 < 2,
+                       static_cast<std::uint8_t>(size)));
+    }
+    out.push_back(std::move(hot));
+
+    trace::Trace unaligned("unaligned");
+    for (unsigned i = 0; i < 12000; ++i) {
+        const Addr addr = 0x8000 + (rng() % (48 * 1024) & ~Addr{3}) + 2;
+        unaligned.append(ref(addr, rng() % 2 == 0, 8));
+    }
+    out.push_back(std::move(unaligned));
+    return out;
+}
+
+/**
+ * A seeded batch over `t`: `stacks` random size stacks (line 4-64B,
+ * a random subset of at least two sizes from 256B to 64KB, each
+ * stackable policy pair, WB with and without flush), plus lanes that
+ * must replay alone and share the pass: write-validate at several
+ * sizes, an associative cache and a single-size fetch-on-write cell.
+ */
+std::vector<Request>
+stackBatch(const trace::Trace& t, std::mt19937_64& rng, unsigned stacks)
+{
+    std::vector<Request> requests;
+    for (unsigned s = 0; s < stacks; ++s) {
+        const StackPolicy policy = kStackPolicies[s % 4];
+        const unsigned line = 4u << (rng() % 5);
+        const bool flush = rng() % 2 == 0;
+        std::vector<Count> sizes;
+        while (sizes.size() < 2) {
+            sizes.clear();
+            for (Count size = 256; size <= 64 * 1024; size *= 2)
+                if (size >= line && rng() % 3 == 0)
+                    sizes.push_back(size);
+        }
+        for (Count size : sizes)
+            requests.push_back(
+                {&t, config(size, line, policy.hit, policy.miss), flush});
+    }
+    // Lanes that never stack, in the same pass.
+    for (Count size : {Count{1024}, Count{8192}})
+        requests.push_back({&t,
+                            config(size, 16, WriteHitPolicy::WriteBack,
+                                   WriteMissPolicy::WriteValidate),
+                            true});
+    CacheConfig assoc2 = config(4096, 16, WriteHitPolicy::WriteBack,
+                                WriteMissPolicy::FetchOnWrite);
+    assoc2.assoc = 2;
+    requests.push_back({&t, assoc2, true});
+    requests.push_back({&t,
+                        config(2048, 32, WriteHitPolicy::WriteThrough,
+                               WriteMissPolicy::WriteValidate),
+                        false});
+    return requests;
+}
+
+/** The lane specs runBatch hands a pass for `requests`. */
+std::vector<LaneSpec>
+laneSpecs(const std::vector<Request>& requests)
+{
+    std::vector<LaneSpec> lanes;
+    for (const Request& r : requests)
+        lanes.push_back({r.config, r.flushAtEnd});
+    return lanes;
+}
+
+TEST(SizeStackDifferential, RandomStacksMatchPerCell)
+{
+    std::mt19937_64 rng(0x5eed5);
+    for (const trace::Trace& t : stackTraces()) {
+        for (unsigned round = 0; round < 3; ++round) {
+            std::vector<Request> requests = stackBatch(t, rng, 8);
+            LanePlan plan = planLanes(laneSpecs(requests));
+            ASSERT_GE(plan.stacks.size(), 4u);
+            BatchOutcome percell = runWith(requests, Engine::PerCell);
+            BatchOutcome onepass = runWith(requests, Engine::OnePass);
+            for (std::size_t i = 0; i < requests.size(); ++i) {
+                SCOPED_TRACE(t.name() + " round " +
+                             std::to_string(round) + " cell " +
+                             std::to_string(i) + " " +
+                             requests[i].config.describe());
+                expectIdentical(percell.results[i], onepass.results[i]);
+                EXPECT_EQ(resultJson(percell.results[i]),
+                          resultJson(onepass.results[i]));
+            }
+        }
+    }
+}
+
+TEST(SizeStackDifferential, GappedAndTwoLevelStacksInOnePass)
+{
+    // Every stackable policy pair over {1K, 8K, 64K} and over a
+    // two-level stack, WB with and without flush, replayed by one
+    // runTracePass next to a single-size cell of each pair.
+    for (const trace::Trace& t : stackTraces()) {
+        std::vector<LaneSpec> lanes;
+        for (const StackPolicy& p : kStackPolicies) {
+            for (Count size : {Count{1024}, Count{8192}, Count{65536}})
+                lanes.push_back({config(size, 16, p.hit, p.miss),
+                                 p.hit == WriteHitPolicy::WriteBack});
+            lanes.push_back({config(512, 4, p.hit, p.miss), false});
+            lanes.push_back({config(2048, 4, p.hit, p.miss), true});
+            lanes.push_back({config(4096, 64, p.hit, p.miss), true});
+        }
+        // WB at one size with and without flush shares one level.
+        lanes.push_back({config(8192, 16, WriteHitPolicy::WriteBack,
+                                WriteMissPolicy::FetchOnWrite),
+                         false});
+        LanePlan plan = planLanes(lanes);
+        EXPECT_EQ(plan.stacks.size(), 8u);
+        EXPECT_EQ(plan.alone.size(), 4u);
+
+        std::vector<RunResult> onepass = runTracePass(t, lanes);
+        ASSERT_EQ(onepass.size(), lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            SCOPED_TRACE(t.name() + " lane " + std::to_string(i) + " " +
+                         lanes[i].config.describe());
+            RunResult percell =
+                runTrace(t, lanes[i].config, lanes[i].flushAtEnd);
+            expectIdentical(percell, onepass[i]);
+        }
+    }
+}
+
+TEST(SizeStackDifferential, MappedSourceStacksMatchPerCell)
+{
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::temp_directory_path() /
+         ("jcache_stack_differential_" + std::to_string(::getpid())))
+            .string();
+    fs::remove_all(dir);
+    std::mt19937_64 rng(0xcafe);
+    for (const trace::Trace& t : stackTraces()) {
+        trace::MappedReplayCache mapped(trace::ensureReplayCache(t, dir));
+        std::vector<Request> memory = stackBatch(t, rng, 6);
+        std::vector<Request> via_cache = memory;
+        for (Request& r : via_cache)
+            r.source = &mapped;
+        BatchOutcome percell = runWith(memory, Engine::PerCell);
+        BatchOutcome from_cache = runWith(via_cache, Engine::OnePass);
+        for (std::size_t i = 0; i < memory.size(); ++i) {
+            SCOPED_TRACE(t.name() + " cell " + std::to_string(i) + " " +
+                         memory[i].config.describe());
+            expectIdentical(percell.results[i], from_cache.results[i]);
+        }
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SizeStackDifferential, PlanKeepsNonInclusiveLanesAlone)
+{
+    // Write-validate, associative and coarse-granularity cells never
+    // stack, and neither does a stackable pair at one size.
+    CacheConfig wv = config(1024, 16, WriteHitPolicy::WriteThrough,
+                            WriteMissPolicy::WriteValidate);
+    CacheConfig wv2 = wv;
+    wv2.sizeBytes = 4096;
+    CacheConfig a2 = config(1024, 16, WriteHitPolicy::WriteBack,
+                            WriteMissPolicy::FetchOnWrite);
+    a2.assoc = 2;
+    CacheConfig a2big = a2;
+    a2big.sizeBytes = 8192;
+    CacheConfig coarse = config(1024, 16, WriteHitPolicy::WriteThrough,
+                                WriteMissPolicy::FetchOnWrite);
+    coarse.validGranularity = 4;
+    CacheConfig coarse2 = coarse;
+    coarse2.sizeBytes = 2048;
+    CacheConfig one = config(1024, 16, WriteHitPolicy::WriteThrough,
+                             WriteMissPolicy::WriteAround);
+    LanePlan plan = planLanes({{wv, false}, {wv2, false}, {a2, true},
+                               {a2big, true}, {coarse, false},
+                               {coarse2, false}, {one, false},
+                               {one, true}});
+    EXPECT_TRUE(plan.stacks.empty());
+    EXPECT_EQ(plan.alone.size(), 8u);
+
+    // Lines or policies that differ split candidates apart.
+    CacheConfig wa32 = one;
+    wa32.lineBytes = 32;
+    wa32.sizeBytes = 4096;
+    CacheConfig wi = one;
+    wi.missPolicy = WriteMissPolicy::WriteInvalidate;
+    wi.sizeBytes = 4096;
+    CacheConfig wa = one;
+    wa.sizeBytes = 2048;
+    plan = planLanes({{one, false}, {wa32, false}, {wi, false},
+                      {wa, false}});
+    ASSERT_EQ(plan.stacks.size(), 1u);
+    EXPECT_EQ(plan.stacks.front(), (std::vector<std::size_t>{0, 3}));
+    EXPECT_EQ(plan.alone, (std::vector<std::size_t>{1, 2}));
 }
 
 } // namespace

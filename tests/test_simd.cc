@@ -91,11 +91,15 @@ mixedDirtyTrace()
 /**
  * `lanes` fast-lane-eligible configs with distinct geometry, so each
  * lane resolves hits and victims differently under the same stream.
+ * Each inclusive policy pair appears at one size per line size, and
+ * write-validate takes the other lanes, so no two lanes form a size
+ * stack and every lane replays in the tiles this suite tests.
  */
 std::vector<CacheConfig>
 laneConfigs(unsigned lanes)
 {
     std::vector<CacheConfig> configs;
+    std::vector<LaneSpec> specs;
     for (unsigned i = 0; i < lanes; ++i) {
         CacheConfig c;
         c.sizeBytes = 1024u << (i % 5);
@@ -103,18 +107,23 @@ laneConfigs(unsigned lanes)
         c.assoc = 1;
         c.hitPolicy = i % 2 == 0 ? WriteHitPolicy::WriteThrough
                                  : WriteHitPolicy::WriteBack;
-        static const WriteMissPolicy kMiss[] = {
+        static const WriteMissPolicy kWriteThroughMiss[] = {
             WriteMissPolicy::FetchOnWrite,
-            WriteMissPolicy::WriteValidate,
             WriteMissPolicy::WriteAround,
             WriteMissPolicy::WriteInvalidate,
         };
-        c.missPolicy = c.hitPolicy == WriteHitPolicy::WriteBack
-                           ? WriteMissPolicy::FetchOnWrite
-                           : kMiss[i % 4];
+        const unsigned j = i / 2;  // index among this hit policy's lanes
+        if (c.hitPolicy == WriteHitPolicy::WriteBack)
+            c.missPolicy = j == 0 ? WriteMissPolicy::FetchOnWrite
+                                  : WriteMissPolicy::WriteValidate;
+        else
+            c.missPolicy =
+                j < 3 ? kWriteThroughMiss[j] : WriteMissPolicy::WriteValidate;
         EXPECT_TRUE(fastLaneEligible(c));
         configs.push_back(c);
+        specs.push_back({c, false});
     }
+    EXPECT_TRUE(planLanes(specs).stacks.empty());
     return configs;
 }
 

@@ -5,7 +5,9 @@
 
 #include "cli_common.hh"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -51,6 +53,23 @@ std::uint64_t
 parseUnsigned64(const std::string& value, const std::string& flag)
 {
     return parseBounded(value, flag, UINT64_MAX);
+}
+
+double
+parsePositiveDouble(const std::string& value, const std::string& flag)
+{
+    const char* begin = value.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(begin, &end);
+    // strtod skips leading whitespace and reads "inf"/"nan"; the
+    // first-character check and isfinite reject both.
+    if (value.empty() || end != begin + value.size() ||
+        std::isspace(static_cast<unsigned char>(value.front())) ||
+        errno == ERANGE || !std::isfinite(parsed) || parsed <= 0.0)
+        fatal(flag + " expects a finite number above zero, got '" +
+              value + "'");
+    return parsed;
 }
 
 bool

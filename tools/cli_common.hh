@@ -14,8 +14,9 @@
  * parseCommonFlag() first in its flag loop; anything unclaimed falls
  * through to the tool's own flags.  Malformed values (a non-numeric
  * --jobs) throw FatalError with the same message regardless of which
- * tool the user typed them at.  parseUnsigned() and parseUnsigned64()
- * are the checked parsers for every numeric tool flag.
+ * tool the user typed them at.  parseUnsigned(), parseUnsigned64() and
+ * parsePositiveDouble() are the checked parsers for every numeric tool
+ * flag.
  */
 
 #ifndef JCACHE_TOOLS_CLI_COMMON_HH
@@ -101,6 +102,17 @@ unsigned parseUnsigned(const std::string& value,
 /** parseUnsigned() for 64-bit values (byte counts, capacities). */
 std::uint64_t parseUnsigned64(const std::string& value,
                               const std::string& flag);
+
+/**
+ * Parse a finite, positive decimal CLI value (rates, durations,
+ * millisecond targets).
+ *
+ * @throws FatalError naming `flag` when `value` is empty, has
+ *         trailing characters, or is not a finite number above zero
+ *         ("0", "-5", "inf", "nan", "1e999").
+ */
+double parsePositiveDouble(const std::string& value,
+                           const std::string& flag);
 
 } // namespace jcache::tools
 

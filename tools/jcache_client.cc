@@ -61,7 +61,6 @@
 
 #include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <random>
@@ -408,13 +407,11 @@ parseConfigFlag(const std::string& flag, const std::string& value,
 {
     if (flag == "--size") {
         config.sizeBytes =
-            std::strtoull(value.c_str(), nullptr, 10) * 1024;
+            std::uint64_t{tools::parseUnsigned(value, flag)} * 1024;
     } else if (flag == "--line") {
-        config.lineBytes = static_cast<unsigned>(
-            std::strtoul(value.c_str(), nullptr, 10));
+        config.lineBytes = tools::parseUnsigned(value, flag);
     } else if (flag == "--assoc") {
-        config.assoc = static_cast<unsigned>(
-            std::strtoul(value.c_str(), nullptr, 10));
+        config.assoc = tools::parseUnsigned(value, flag);
     } else if (flag == "--hit") {
         auto policy = core::parseHitPolicy(value);
         fatalIf(!policy, "unknown hit policy: " + value +
@@ -560,58 +557,64 @@ main(int argc, char** argv)
 {
     Transport transport;
 
+    // A malformed transport flag value exits 1 like any other error.
     int i = 1;
-    for (; i < argc; ++i) {
-        std::string flag = argv[i];
-        if (flag == "--version") {
-            std::cout << versionLine("jcache-client") << "\n";
-            return 0;
-        }
-        if (flag == "--verbose") {
-            transport.verbose = true;
-            continue;
-        }
-        if (flag == "--retry") {
-            // The attempt count is optional: bare --retry uses the
-            // default, a following number overrides it.
-            transport.attempts = kDefaultRetryAttempts;
-            if (i + 1 < argc &&
-                std::isdigit(
-                    static_cast<unsigned char>(argv[i + 1][0]))) {
-                transport.attempts = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
-                if (transport.attempts == 0)
-                    transport.attempts = 1;
+    try {
+        for (; i < argc; ++i) {
+            std::string flag = argv[i];
+            if (flag == "--version") {
+                std::cout << versionLine("jcache-client") << "\n";
+                return 0;
             }
-            continue;
+            if (flag == "--verbose") {
+                transport.verbose = true;
+                continue;
+            }
+            if (flag == "--retry") {
+                // The attempt count is optional: bare --retry uses the
+                // default, a following number overrides it.
+                transport.attempts = kDefaultRetryAttempts;
+                if (i + 1 < argc &&
+                    std::isdigit(
+                        static_cast<unsigned char>(argv[i + 1][0]))) {
+                    transport.attempts =
+                        tools::parseUnsigned(argv[++i], flag);
+                    if (transport.attempts == 0)
+                        transport.attempts = 1;
+                }
+                continue;
+            }
+            if (flag == "--backoff" && i + 1 < argc) {
+                transport.backoffMillis =
+                    tools::parseUnsigned(argv[++i], flag);
+                if (transport.backoffMillis == 0)
+                    transport.backoffMillis = 1;
+                continue;
+            }
+            if (flag == "--host" && i + 1 < argc) {
+                transport.host = argv[++i];
+                continue;
+            }
+            if (flag == "--port" && i + 1 < argc) {
+                transport.port = static_cast<std::uint16_t>(
+                    tools::parseUnsigned(argv[++i], flag, 65535));
+                continue;
+            }
+            if (flag == "--timeout" && i + 1 < argc) {
+                transport.timeoutMillis =
+                    tools::parseUnsigned(argv[++i], flag);
+                continue;
+            }
+            if (flag == "--deadline" && i + 1 < argc) {
+                transport.deadlineMillis =
+                    tools::parseUnsigned(argv[++i], flag);
+                continue;
+            }
+            break;
         }
-        if (flag == "--backoff" && i + 1 < argc) {
-            transport.backoffMillis = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (transport.backoffMillis == 0)
-                transport.backoffMillis = 1;
-            continue;
-        }
-        if (flag == "--host" && i + 1 < argc) {
-            transport.host = argv[++i];
-            continue;
-        }
-        if (flag == "--port" && i + 1 < argc) {
-            transport.port = static_cast<std::uint16_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-            continue;
-        }
-        if (flag == "--timeout" && i + 1 < argc) {
-            transport.timeoutMillis = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            continue;
-        }
-        if (flag == "--deadline" && i + 1 < argc) {
-            transport.deadlineMillis = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            continue;
-        }
-        break;
+    } catch (const FatalError& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
     }
     if (i >= argc)
         return usage();
@@ -802,7 +805,7 @@ main(int argc, char** argv)
                 std::string flag = argv[i];
                 if (flag == "--metrics-port" && i + 1 < argc) {
                     metrics_port = static_cast<std::uint16_t>(
-                        std::strtoul(argv[++i], nullptr, 10));
+                        tools::parseUnsigned(argv[++i], flag, 65535));
                     continue;
                 }
                 return usage();

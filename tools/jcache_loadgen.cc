@@ -53,7 +53,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <random>
@@ -207,8 +206,8 @@ parseMix(const std::string& spec, unsigned weights[kClassCount])
         if (eq == std::string::npos)
             return false;
         std::string name = part.substr(0, eq);
-        unsigned value = static_cast<unsigned>(
-            std::strtoul(part.c_str() + eq + 1, nullptr, 10));
+        unsigned value =
+            tools::parseUnsigned(part.substr(eq + 1), "--mix " + name);
         bool known = false;
         for (unsigned c = 0; c < kClassCount; ++c) {
             if (name == kClassNames[c]) {
@@ -231,7 +230,8 @@ parseClassRequirement(const std::string& spec, Options& options)
     if (colon == std::string::npos)
         return false;
     std::string name = spec.substr(0, colon);
-    double value = std::strtod(spec.c_str() + colon + 1, nullptr);
+    double value = tools::parsePositiveDouble(spec.substr(colon + 1),
+                                              "--require-class-p99-ms");
     for (unsigned c = 0; c < kClassCount; ++c) {
         if (name == kClassNames[c]) {
             options.requireClassP99Millis[c] = value;
@@ -574,73 +574,68 @@ main(int argc, char** argv)
             options.requireSheds = true;
             continue;
         }
+        // A malformed value is a usage error: say which, then usage.
         try {
             if (tools::parseCommonFlag(argc, argv, i,
                                        tools::kFlagJson, common))
                 continue;
+            if (i + 1 >= argc)
+                return usage();
+            std::string value = argv[++i];
+            if (flag == "--host") {
+                options.host = value;
+            } else if (flag == "--port") {
+                options.port = static_cast<std::uint16_t>(
+                    tools::parseUnsigned(value, flag, 65535));
+            } else if (flag == "--connections") {
+                options.dataConnections = tools::parseUnsigned(value, flag);
+                if (options.dataConnections == 0)
+                    options.dataConnections = 1;
+            } else if (flag == "--duration") {
+                options.durationSeconds =
+                    tools::parsePositiveDouble(value, flag);
+            } else if (flag == "--rate") {
+                options.rate = tools::parsePositiveDouble(value, flag);
+                rate_given = true;
+            } else if (flag == "--pipeline") {
+                options.pipeline = tools::parseUnsigned(value, flag);
+                if (options.pipeline == 0)
+                    options.pipeline = 1;
+            } else if (flag == "--mix") {
+                if (!parseMix(value, options.weights)) {
+                    std::cerr << "error: bad --mix (classes: run, "
+                                 "sweep, upload, ping, health, stats)\n";
+                    return usage();
+                }
+            } else if (flag == "--workload") {
+                options.workload = value;
+            } else if (flag == "--deadline") {
+                options.deadlineMillis = tools::parseUnsigned(value, flag);
+            } else if (flag == "--timeout") {
+                options.timeoutMillis = tools::parseUnsigned(value, flag);
+            } else if (flag == "--seed") {
+                options.seed = tools::parseUnsigned64(value, flag);
+            } else if (flag == "--faults") {
+                options.faults = value;
+            } else if (flag == "--fault-seed") {
+                options.faultSeed = tools::parseUnsigned64(value, flag);
+            } else if (flag == "--require-goodput") {
+                options.requireGoodput =
+                    tools::parsePositiveDouble(value, flag);
+            } else if (flag == "--require-p99-ms") {
+                options.requireP99Millis =
+                    tools::parsePositiveDouble(value, flag);
+            } else if (flag == "--require-class-p99-ms") {
+                if (!parseClassRequirement(value, options)) {
+                    std::cerr << "error: --require-class-p99-ms wants "
+                                 "CLASS:MS\n";
+                    return usage();
+                }
+            } else {
+                return usage();
+            }
         } catch (const FatalError& e) {
             std::cerr << "error: " << e.what() << "\n";
-            return usage();
-        }
-        if (i + 1 >= argc)
-            return usage();
-        std::string value = argv[++i];
-        if (flag == "--host") {
-            options.host = value;
-        } else if (flag == "--port") {
-            options.port = static_cast<std::uint16_t>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--connections") {
-            options.dataConnections = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-            if (options.dataConnections == 0)
-                options.dataConnections = 1;
-        } else if (flag == "--duration") {
-            options.durationSeconds =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--rate") {
-            options.rate = std::strtod(value.c_str(), nullptr);
-            rate_given = true;
-        } else if (flag == "--pipeline") {
-            options.pipeline = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-            if (options.pipeline == 0)
-                options.pipeline = 1;
-        } else if (flag == "--mix") {
-            if (!parseMix(value, options.weights)) {
-                std::cerr << "error: bad --mix (classes: run, "
-                             "sweep, upload, ping, health, stats)\n";
-                return usage();
-            }
-        } else if (flag == "--workload") {
-            options.workload = value;
-        } else if (flag == "--deadline") {
-            options.deadlineMillis = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--timeout") {
-            options.timeoutMillis = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (flag == "--seed") {
-            options.seed =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--faults") {
-            options.faults = value;
-        } else if (flag == "--fault-seed") {
-            options.faultSeed =
-                std::strtoull(value.c_str(), nullptr, 10);
-        } else if (flag == "--require-goodput") {
-            options.requireGoodput =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--require-p99-ms") {
-            options.requireP99Millis =
-                std::strtod(value.c_str(), nullptr);
-        } else if (flag == "--require-class-p99-ms") {
-            if (!parseClassRequirement(value, options)) {
-                std::cerr << "error: --require-class-p99-ms wants "
-                             "CLASS:MS\n";
-                return usage();
-            }
-        } else {
             return usage();
         }
     }

@@ -33,7 +33,6 @@
  *            callburst-global callburst-percall callburst-windows
  */
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -110,10 +109,9 @@ cmdGenerate(int argc, char** argv)
         if (flag == "--compress") {
             compress = true;
         } else if (flag == "--scale" && i + 1 < argc) {
-            config.scale = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            config.scale = tools::parseUnsigned(argv[++i], flag);
         } else if (flag == "--seed" && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
+            config.seed = tools::parseUnsigned64(argv[++i], flag);
         } else {
             return usage();
         }
@@ -152,10 +150,9 @@ cmdExport(int argc, char** argv)
         if (flag == "--format" && i + 1 < argc) {
             format = argv[++i];
         } else if (flag == "--scale" && i + 1 < argc) {
-            config.scale = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            config.scale = tools::parseUnsigned(argv[++i], flag);
         } else if (flag == "--seed" && i + 1 < argc) {
-            config.seed = std::strtoull(argv[++i], nullptr, 10);
+            config.seed = tools::parseUnsigned64(argv[++i], flag);
         } else {
             return usage();
         }
@@ -300,9 +297,8 @@ cmdHead(int argc, char** argv)
 {
     if (argc < 3)
         return usage();
-    std::size_t count = argc > 3
-        ? std::strtoull(argv[3], nullptr, 10)
-        : 20;
+    std::size_t count =
+        argc > 3 ? tools::parseUnsigned64(argv[3], "count") : 20;
     trace::Trace trace = trace::loadAnyTrace(argv[2]);
     count = std::min(count, trace.size());
     for (std::size_t i = 0; i < count; ++i) {

@@ -55,7 +55,6 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -291,10 +290,10 @@ main(int argc, char** argv)
                     std::max(1u, tools::parseUnsigned(value, flag));
             } else if (flag == "--admission-target-ms") {
                 config.service.admission.targetMillis =
-                    std::strtod(value.c_str(), nullptr);
+                    tools::parsePositiveDouble(value, flag);
             } else if (flag == "--admission-interval-ms") {
                 config.service.admission.intervalMillis =
-                    std::strtod(value.c_str(), nullptr);
+                    tools::parsePositiveDouble(value, flag);
             } else if (flag == "--store-dir") {
                 config.service.storeDir = value;
             } else if (flag == "--trace-cache-dir") {
