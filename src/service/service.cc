@@ -258,8 +258,6 @@ Service::Service(const ServiceConfig& config)
         store_config.capBytes = config_.storeCapBytes;
         store_ = std::make_unique<store::ResultStore>(store_config);
     }
-    if (!config_.shard.workers.empty())
-        shard_ = std::make_unique<ShardPool>(config_.shard);
     scheduler_ = std::thread([this] { schedulerLoop(); });
 }
 
@@ -349,9 +347,6 @@ Service::schedulerLoop()
             telemetry::Span run_span("job.run", "service");
             try {
                 job.outcome.payload = job.work();
-            } catch (const ShardError& e) {
-                job.outcome.error = e.what();
-                job.outcome.errorCode = e.code();
             } catch (const FatalError& e) {
                 job.outcome.error = e.what();
             } catch (const std::exception& e) {
@@ -437,26 +432,10 @@ Service::submitAsync(std::function<std::string()> work,
 
 std::vector<sim::RunResult>
 Service::executeCells(const sim::ResolvedTrace& resolved,
-                      const sim::TraceRef& ref,
                       const std::vector<core::CacheConfig>& configs,
-                      bool flush,
-                      std::chrono::steady_clock::time_point deadline)
+                      bool flush)
 {
     Clock::time_point start = Clock::now();
-    if (shard_) {
-        // Coordinator: the grid runs on the workers, which resolve
-        // the forwarded ref themselves.  Timing still lands in the
-        // job histogram (scatter wall time is the coordinator's job
-        // wall time); busySeconds stays zero since no local executor
-        // ran.
-        std::vector<sim::RunResult> results =
-            shard_->execute(ref, flush, configs, deadline);
-        recordJobTiming(
-            std::chrono::duration<double>(Clock::now() - start)
-                .count(),
-            sim::SweepReport{});
-        return results;
-    }
     std::vector<sim::Request> requests;
     requests.reserve(configs.size());
     for (const core::CacheConfig& c : configs)
@@ -537,9 +516,6 @@ Service::snapshot() const
     snap.admissionTargetMillis = admission_.config().targetMillis;
     snap.admissionIntervalMillis = admission_.config().intervalMillis;
     snap.admission = admission_.state();
-    snap.role = shard_ ? "coordinator" : "single";
-    if (shard_)
-        snap.workers = shard_->health();
     snap.connectionsOpen =
         connectionsOpen_.load(std::memory_order_relaxed);
     snap.connectionsAccepted =
@@ -810,10 +786,9 @@ Service::handleRun(const JsonValue& request,
     auto done_ptr =
         std::make_shared<ResponseCallback>(std::move(done));
     bool admitted = submitAsync(
-        [this, resolved, ref, config, flush,
-         at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, {config}, flush, at);
+        [this, resolved, config, flush]() -> std::string {
+            std::vector<sim::RunResult> results =
+                executeCells(resolved, {config}, flush);
 
             std::ostringstream oss;
             stats::JsonWriter json(oss);
@@ -872,10 +847,9 @@ Service::handleSweep(const JsonValue& request,
     auto done_ptr =
         std::make_shared<ResponseCallback>(std::move(done));
     bool admitted = submitAsync(
-        [this, resolved, ref, points, axis,
-         at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, points.configs, false, at);
+        [this, resolved, points, axis]() -> std::string {
+            std::vector<sim::RunResult> results =
+                executeCells(resolved, points.configs, false);
 
             std::ostringstream oss;
             stats::JsonWriter json(oss);
@@ -969,11 +943,10 @@ Service::handleUpload(const JsonValue& request,
 
     // The parsed trace must outlive this call (the submitter no
     // longer blocks until the job runs), so the work lambda owns it
-    // through a shared_ptr.  Uploads run locally even on a
-    // coordinator: the body exists only on this node.  Parsing and
-    // registration happen *before* the result-cache lookup so a
-    // repeated upload still (re-)registers the trace for later
-    // by-digest runs even when its own result is already cached.
+    // through a shared_ptr.  Parsing and registration happen
+    // *before* the result-cache lookup so a repeated upload still
+    // (re-)registers the trace for later by-digest runs even when
+    // its own result is already cached.
     auto trace = std::make_shared<trace::Trace>();
     try {
         telemetry::Span import_span("trace.import", "service");
@@ -1094,15 +1067,14 @@ Service::handleBatch(const JsonValue& request,
     auto done_ptr =
         std::make_shared<ResponseCallback>(std::move(done));
     bool admitted = submitAsync(
-        [this, resolved, ref, configs = std::move(configs),
-         flush, at = deadline.at]() -> std::string {
-            std::vector<sim::RunResult> results = executeCells(
-                resolved, ref, configs, flush, at);
+        [this, resolved, configs = std::move(configs),
+         flush]() -> std::string {
+            std::vector<sim::RunResult> results =
+                executeCells(resolved, configs, flush);
 
-            // Result elements render exactly as a sweep's: the
-            // coordinator's merge reuses the same writeRunResult
-            // round-trip that keeps served sweeps byte-identical to
-            // the offline tools.
+            // Result elements render exactly as a sweep's, through
+            // the same writeRunResult round-trip that keeps served
+            // sweeps byte-identical to the offline tools.
             std::ostringstream oss;
             stats::JsonWriter json(oss);
             json.beginObject();
@@ -1218,13 +1190,8 @@ Service::jobResponse(bool admitted, const JobOutcome& outcome,
         return deadlineResponse(outcome.waitedMillis, request_id);
     if (!outcome.shedCode.empty())
         return busyResponse(outcome.retryAfterMillis, request_id);
-    if (outcome.errorCode == "deadline_exceeded")
-        return deadlineResponse(outcome.waitedMillis, request_id);
     if (!outcome.error.empty())
-        return errorResponse(outcome.errorCode.empty()
-                                 ? "bad_request"
-                                 : outcome.errorCode,
-                             outcome.error, request_id);
+        return errorResponse("bad_request", outcome.error, request_id);
     cacheInsert(digest, outcome.payload);
     return okResponse(type, digest, false, outcome.payload,
                       request_id);
@@ -1234,46 +1201,23 @@ namespace
 {
 
 /**
- * The `node` block shared by stats and health (API 1.3): role,
- * transport connection gauges, and — on a coordinator — per-worker
- * scatter health.  `degraded` is the typed signal monitoring keys
- * on: true whenever any configured worker is marked unhealthy.
+ * The `node` block shared by stats and health (API 1.3): every
+ * daemon runs its grids on its own engine, so role, worker count and
+ * degraded are fixed and kept for readers of the 1.3 schema; the
+ * transport connection gauges are live.
  */
 void
 writeNodeBlock(stats::JsonWriter& json, const ServiceSnapshot& snap)
 {
-    bool degraded = false;
-    for (const WorkerHealth& w : snap.workers)
-        if (!w.healthy)
-            degraded = true;
     json.beginObject("node");
-    json.field("role", snap.role);
-    json.field("worker_count",
-               static_cast<double>(snap.workers.size()));
-    json.field("degraded", degraded);
+    json.field("role", "single");
+    json.field("worker_count", 0.0);
+    json.field("degraded", false);
     json.beginObject("connections");
     json.field("open", static_cast<double>(snap.connectionsOpen));
     json.field("accepted",
                static_cast<double>(snap.connectionsAccepted));
     json.endObject();
-    if (!snap.workers.empty()) {
-        json.beginArray("workers");
-        for (const WorkerHealth& w : snap.workers) {
-            json.beginObject();
-            json.field("address", w.address);
-            json.field("healthy", w.healthy);
-            json.field("consecutive_failures",
-                       static_cast<double>(w.consecutiveFailures));
-            json.field("chunks_completed",
-                       static_cast<double>(w.chunksCompleted));
-            json.field("chunks_failed",
-                       static_cast<double>(w.chunksFailed));
-            json.field("rescatters",
-                       static_cast<double>(w.rescatters));
-            json.endObject();
-        }
-        json.endArray();
-    }
     json.endObject();
 }
 

@@ -55,7 +55,6 @@
 
 #include "service/admission.hh"
 #include "service/result_cache.hh"
-#include "service/shard.hh"
 #include "sim/engine.hh"
 #include "sim/sweeps.hh"
 #include "sim/trace_ref.hh"
@@ -132,12 +131,6 @@ struct ServiceSnapshot
     double admissionIntervalMillis = 0.0;
     AdmissionState admission;
 
-    /** Node role: "single" or "coordinator". */
-    std::string role = "single";
-
-    /** Per-worker scatter health; empty on a single node. */
-    std::vector<WorkerHealth> workers;
-
     /** Transport connections open right now (both server kinds). */
     std::uint64_t connectionsOpen = 0;
 
@@ -198,20 +191,11 @@ struct ServiceConfig
     std::uint64_t retryJitterSeed = 42;
 
     /**
-     * Largest accepted `batch` request, in grid cells.  The shard
-     * coordinator scatters 16-cell chunks; the cap only guards a
-     * hand-built request from queueing unbounded work.
+     * Largest accepted `batch` request, in grid cells.  A batch runs
+     * as one job on the local engine, so the cap keeps a hand-built
+     * request from queueing unbounded work behind it.
      */
     std::size_t batchCapCells = 1024;
-
-    /**
-     * Shard topology (jcached --coordinator --workers ...).  A
-     * non-empty worker list makes this service a coordinator: run,
-     * sweep and batch grids scatter to the workers instead of the
-     * local engine.  Uploads always execute locally — the trace body
-     * exists only on this node.
-     */
-    ShardConfig shard;
 
     /**
      * Replay-cache directory of the daemon's TraceRepository
@@ -291,14 +275,6 @@ class Service
         std::string error;
 
         /**
-         * Machine-readable code accompanying `error`; empty maps to
-         * the generic "bad_request".  The shard layer sets typed
-         * codes ("shard_unavailable", "deadline_exceeded") so a
-         * coordinator outage is distinguishable from bad input.
-         */
-        std::string errorCode;
-
-        /**
          * Shed reason decided at dequeue: empty when the job ran,
          * "busy" for a CoDel shed, "deadline_exceeded" when the
          * client's budget lapsed in the queue.
@@ -370,15 +346,14 @@ class Service
                          {});
 
     /**
-     * Run one grid of cells: locally through sim::runBatch, or — on
-     * a coordinator — scattered over the shard pool (which forwards
-     * `ref` on the wire).  Called from the scheduler thread inside a
-     * job's work; throws FatalError (or ShardError) on failure.
+     * Run one grid of cells over `resolved` through sim::runBatch
+     * on this service's executor, recording the job timing.  Called
+     * from the scheduler thread inside a job's work; throws
+     * FatalError when any cell fails.
      */
     std::vector<sim::RunResult> executeCells(
-        const sim::ResolvedTrace& resolved, const sim::TraceRef& ref,
-        const std::vector<core::CacheConfig>& configs, bool flush,
-        std::chrono::steady_clock::time_point deadline);
+        const sim::ResolvedTrace& resolved,
+        const std::vector<core::CacheConfig>& configs, bool flush);
 
     /**
      * Back-off hint for a shed job, in milliseconds: queue depth
@@ -431,9 +406,6 @@ class Service
 
     /** Disk tier under the memory cache; null when storeDir empty. */
     std::unique_ptr<store::ResultStore> store_;
-
-    /** Scatter pool; null unless configured as a coordinator. */
-    std::unique_ptr<ShardPool> shard_;
 
     /**
      * Resolves every request's trace reference: the registry by

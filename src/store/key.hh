@@ -103,9 +103,9 @@ std::string uploadKey(const KeyContext& ctx,
 
 /**
  * The 16-hex key of a `batch` response payload (an explicit list of
- * cells over one trace, the scatter unit of the shard coordinator):
- * digests every cell's canonical config key in order, so the same
- * cells in a different order are a different batch.
+ * cells over one trace): digests every cell's canonical config key
+ * in order, so the same cells in a different order are a different
+ * batch.
  */
 std::string batchKey(const KeyContext& ctx,
                      const std::string& trace_identity,

@@ -277,7 +277,7 @@ ResultStore::get(const std::string& digest)
         blob = std::nullopt;
     }
     if (!blob) {
-        // A worker sharing this store directory evicted the blob
+        // Another daemon sharing this --store-dir evicted the blob
         // under its byte cap: an ordinary miss for this process, not
         // corruption — the entry just moved out from under us.
         occupancy_ -= it->second.bytes;
@@ -321,7 +321,7 @@ ResultStore::put(const std::string& digest,
         return;
     }
     std::string path = blobPath(digest);
-    // Workers sharing one store directory serialize their mutations
+    // Daemons sharing one --store-dir serialize their mutations
     // (blob write, cap eviction) on the store's lock file, so two
     // evictors never double-delete or double-count.
     util::FileLock file_lock(lockPath());

@@ -28,10 +28,10 @@
  *
  * Thread-safe: one mutex serializes get/put/eviction, so concurrent
  * connection handlers and sweep workers may share an instance.
- * Cross-process safe: shard workers pointed at one directory take an
- * advisory flock on `<dir>/lock` around mutations (put + eviction),
- * and a blob evicted by a peer surfaces as a plain miss on lookup,
- * never as corruption.
+ * Cross-process safe: daemons (and sweeps) sharing one `--store-dir`
+ * take an advisory flock on `<dir>/lock` around mutations (put +
+ * eviction), and a blob evicted by a peer surfaces as a plain miss
+ * on lookup, never as corruption.
  */
 
 #ifndef JCACHE_STORE_STORE_HH

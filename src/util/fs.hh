@@ -76,10 +76,10 @@ void ensureDirectory(const std::string& dir);
 
 /**
  * RAII advisory whole-file lock (flock), for serializing mutations of
- * a directory shared between processes — several jcached workers
- * pointed at one `--store-dir` take the store's lock file around
- * eviction and index persists so concurrent evictors cannot both
- * delete and double-count the same blob.
+ * a directory shared between processes — daemons sharing one
+ * `--store-dir` take the store's lock file around blob writes and
+ * eviction so concurrent evictors cannot both delete and
+ * double-count the same blob.
  *
  * Acquisition blocks until the peer releases.  Best effort by design:
  * if the lock file cannot be opened or flocked (exotic filesystem,

@@ -13,17 +13,20 @@
 #   5. `jcache-client metrics` scrapes --metrics-port, and the
 #      request counter increases monotonically between scrapes;
 #      the scrape carries the store gauges and counters
-#   6. an in-band shutdown drains the daemon
+#   6. pipelined load (jcache-loadgen --pipeline) is served with zero
+#      transport errors
+#   7. an in-band shutdown drains the daemon
 #
 # Usage: service_smoke.sh <jcached> <jcache-client> <jcache-sim> \
-#            <jcache-sweep> <workdir>
+#            <jcache-sweep> <jcache-loadgen> <workdir>
 set -eu
 
 JCACHED=$1
 CLIENT=$2
 SIM=$3
 SWEEP=$4
-WORKDIR=$5
+LOADGEN=$5
+WORKDIR=$6
 
 mkdir -p "$WORKDIR"
 PORT_FILE="$WORKDIR/jcached.port"
@@ -179,7 +182,23 @@ grep -q 'jcache_store_bytes_total' "$WORKDIR/metrics2.txt" \
     || fail "scrape lacks jcache_store_bytes_total"
 echo "service_smoke: store gauges and counters exposed"
 
-# 6. Graceful in-band shutdown.
+# 6. Pipelined load: four requests in flight per connection through
+#    the reactor, every one answered.
+"$LOADGEN" --port "$PORT" --closed-loop --connections 2 \
+    --pipeline 4 --duration 2 --mix run=80,sweep=10,health=10 \
+    --json "$WORKDIR/loadgen_pipeline.json" \
+    > "$WORKDIR/pipeline.txt" || fail "pipelined loadgen errored"
+cat "$WORKDIR/pipeline.txt"
+grep -q '"pipeline": 4' "$WORKDIR/loadgen_pipeline.json" \
+    || fail "loadgen report does not record the pipeline depth"
+SERVED=$(awk '/^loadgen: served /{print $3}' "$WORKDIR/pipeline.txt")
+[ -n "$SERVED" ] && [ "$SERVED" -gt 0 ] \
+    || fail "pipelined load served nothing"
+grep -q '"transport_error": 0' "$WORKDIR/loadgen_pipeline.json" \
+    || fail "pipelined load saw transport errors"
+echo "service_smoke: pipelined load served cleanly"
+
+# 7. Graceful in-band shutdown.
 "$CLIENT" --port "$PORT" shutdown > /dev/null || fail "shutdown"
 tries=0
 while kill -0 "$DAEMON_PID" 2>/dev/null; do

@@ -2,7 +2,8 @@
  * @file
  * Tests for the transport-independent request router
  * (service/service.hh): request validation, the run/sweep paths, the
- * result cache's digest behavior, and the stats counters.
+ * result cache's digest behavior, the batch path, the stats counters
+ * and the node block.
  *
  * Every test drives Service::handle() directly with request documents
  * — no sockets — so failures localize to the routing layer.
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "service/json_value.hh"
+#include "service/render.hh"
 #include "service/service.hh"
 #include "util/fault.hh"
 #include "util/version.hh"
@@ -72,6 +75,41 @@ runRequest(const std::string& workload, unsigned size_kb,
            "\", \"flush\": " + (flush ? "true" : "false") +
            ", \"config\": {\"size_bytes\": " +
            std::to_string(size_kb * 1024) + "}}";
+}
+
+/** A `batch` over one workload, one cell per size in KB. */
+std::string
+batchRequest(const std::string& workload,
+             const std::vector<unsigned>& sizes_kb)
+{
+    std::string cells;
+    for (unsigned kb : sizes_kb) {
+        if (!cells.empty())
+            cells += ", ";
+        cells += "{\"config\": {\"size_bytes\": " +
+                 std::to_string(kb * 1024) + "}}";
+    }
+    return "{\"type\": \"batch\", \"workload\": \"" + workload +
+           "\", \"configs\": [" + cells + "]}";
+}
+
+/**
+ * One wire result as a client renders it: the jcache-sim table plus
+ * the raw counts re-serialized, so two equal strings mean equal
+ * output and equal counts.
+ */
+std::string
+renderCell(const JsonValue& result, const std::string& workload)
+{
+    jcache::sim::RunResult parsed =
+        jcache::service::parseRunResult(result);
+    std::ostringstream oss;
+    jcache::service::renderRunTable(oss, parsed, workload, false);
+    jcache::stats::JsonWriter json(oss);
+    json.beginObject();
+    jcache::service::writeRunResult(json, "result", parsed);
+    json.endObject();
+    return oss.str();
 }
 
 } // namespace
@@ -268,6 +306,106 @@ TEST(Service, SweepReturnsAxisOrderedResults)
         " \"axis\": \"assoc\"}"));
     EXPECT_TRUE(repeat.getBool("cached", false));
     EXPECT_EQ(repeat.getString("digest"), v.getString("digest"));
+}
+
+TEST(Service, BatchCellsMatchSingleUnflushedRuns)
+{
+    Service service(testConfig());
+    const std::vector<unsigned> sizes = {1, 4, 16};
+    JsonValue batch =
+        parseResponse(service.handle(batchRequest("ccom", sizes)));
+    ASSERT_TRUE(batch.getBool("ok", false)) << batch.getString("error");
+    EXPECT_EQ(batch.getString("type"), "batch");
+    EXPECT_FALSE(batch.getBool("cached", true));
+    const JsonValue& payload = batch.get("payload");
+    EXPECT_EQ(payload.getString("workload"), "ccom");
+    // A batch defaults flush off, like the sweep points it carries.
+    EXPECT_FALSE(payload.getBool("flushed", true));
+    const JsonValue& results = payload.get("results");
+    ASSERT_EQ(results.items().size(), sizes.size());
+
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        JsonValue run = parseResponse(
+            service.handle(runRequest("ccom", sizes[i], false)));
+        ASSERT_TRUE(run.getBool("ok", false)) << run.getString("error");
+        EXPECT_EQ(
+            renderCell(results.items()[i].get("result"), "ccom"),
+            renderCell(run.get("payload").get("result"), "ccom"))
+            << "cell " << i << " (" << sizes[i] << " KB)";
+    }
+}
+
+TEST(Service, RepeatedBatchIsServedFromCache)
+{
+    Service service(testConfig());
+    std::string request = batchRequest("grr", {2, 8});
+    std::string first_text = service.handle(request);
+    JsonValue first = parseResponse(first_text);
+    ASSERT_TRUE(first.getBool("ok", false)) << first.getString("error");
+    EXPECT_FALSE(first.getBool("cached", true));
+
+    std::string repeat_text = service.handle(request);
+    JsonValue repeat = parseResponse(repeat_text);
+    EXPECT_TRUE(repeat.getBool("cached", false));
+    EXPECT_EQ(repeat.getString("digest"), first.getString("digest"));
+    std::size_t flag = repeat_text.find("\"cached\": true");
+    ASSERT_NE(flag, std::string::npos);
+    repeat_text.replace(flag, 14, "\"cached\": false");
+    EXPECT_EQ(repeat_text, first_text);
+
+    JsonValue stats =
+        parseResponse(service.handle("{\"type\": \"stats\"}"));
+    const JsonValue& payload = stats.get("payload");
+    EXPECT_DOUBLE_EQ(payload.get("requests").getNumber("batch", 0), 2.0);
+    EXPECT_DOUBLE_EQ(payload.get("jobs").getNumber("executed", 0), 1.0);
+}
+
+TEST(Service, RejectsEmptyAndOversizedBatches)
+{
+    ServiceConfig config = testConfig();
+    config.batchCapCells = 2;
+    Service service(config);
+    expectError(service,
+                "{\"type\": \"batch\", \"workload\": \"ccom\","
+                " \"configs\": []}",
+                "bad_request");
+    expectError(service,
+                "{\"type\": \"batch\", \"workload\": \"ccom\"}",
+                "bad_request");
+
+    JsonValue over =
+        parseResponse(service.handle(batchRequest("ccom", {1, 2, 4})));
+    EXPECT_FALSE(over.getBool("ok", true));
+    EXPECT_EQ(over.getString("code"), "bad_request");
+    EXPECT_NE(over.getString("error").find("at most 2"),
+              std::string::npos)
+        << over.getString("error");
+    // At the cap the batch is accepted.
+    EXPECT_TRUE(parseResponse(service.handle(batchRequest("ccom", {1, 2})))
+                    .getBool("ok", false));
+}
+
+TEST(Service, NodeBlockReportsASingleNode)
+{
+    Service service(testConfig());
+    service.noteConnectionAccepted();
+    for (const char* type : {"stats", "health"}) {
+        JsonValue v = parseResponse(service.handle(
+            std::string("{\"type\": \"") + type + "\"}"));
+        ASSERT_TRUE(v.getBool("ok", false)) << type;
+        const JsonValue& node = v.get("payload").get("node");
+        EXPECT_EQ(node.getString("role"), "single") << type;
+        EXPECT_DOUBLE_EQ(node.getNumber("worker_count", -1), 0.0)
+            << type;
+        EXPECT_FALSE(node.getBool("degraded", true)) << type;
+        EXPECT_FALSE(node.has("workers")) << type;
+        const JsonValue& connections = node.get("connections");
+        EXPECT_DOUBLE_EQ(connections.getNumber("open", -1), 1.0)
+            << type;
+        EXPECT_DOUBLE_EQ(connections.getNumber("accepted", -1), 1.0)
+            << type;
+    }
+    service.noteConnectionClosed();
 }
 
 TEST(Service, StatsCountRequestsCacheAndJobs)

@@ -4,9 +4,9 @@
  * (store/store.hh) and the canonical result keys (store/key.hh):
  * round trips, persistence across instances, torn blob tolerance,
  * LRU eviction seeded from mtimes, reuse of directories written by
- * older builds, the mid-put SIGKILL recovery property, key
- * versioning (an engine or API bump must miss, never alias), and a
- * concurrent get/put stress.
+ * older builds, the mid-put SIGKILL recovery property, a directory
+ * shared by two stores, key versioning (an engine or API bump must
+ * miss, never alias), and a concurrent get/put stress.
  */
 
 #include <unistd.h>
@@ -355,6 +355,39 @@ TEST_F(StoreTest, ConcurrentGetPutEvictIsSafe)
     EXPECT_EQ(stats.entries, blobsOnDisk(dir_));
 }
 
+TEST_F(StoreTest, BlobEvictedByAPeerIsAPlainMiss)
+{
+    // Two daemons sharing one --store-dir: A indexes a blob, B's cap
+    // eviction deletes it, and A's next lookup must be an ordinary
+    // miss with its occupancy corrected — not a torn blob.
+    std::string payload(1000, 'p');
+    ResultStore a(config_);
+    a.put(key(1), payload);
+    std::uint64_t occupancy_before = a.stats().occupancyBytes;
+    ASSERT_GT(occupancy_before, 0u);
+
+    StoreConfig b_config = config_;
+    b_config.capBytes = 1500; // room for one framed 1000-byte blob
+    ResultStore b(b_config);
+    ASSERT_TRUE(b.contains(key(1)));
+    b.put(key(2), payload);
+    EXPECT_FALSE(b.contains(key(1)));
+    EXPECT_EQ(b.stats().evictions, 1u);
+    EXPECT_EQ(blobsOnDisk(dir_), 1u);
+
+    ASSERT_TRUE(a.contains(key(1)));
+    std::uint64_t misses_before = a.stats().misses;
+    EXPECT_FALSE(a.get(key(1)).has_value());
+    store::StoreStats stats = a.stats();
+    EXPECT_EQ(stats.misses, misses_before + 1);
+    EXPECT_EQ(stats.tornBlobs, 0u);
+    EXPECT_LT(stats.occupancyBytes, occupancy_before);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_FALSE(a.contains(key(1)));
+    // B's blob is untouched by A's miss.
+    EXPECT_EQ(b.get(key(2)).value(), payload);
+}
+
 // --- Canonical result keys -------------------------------------------
 
 TEST(StoreKey, TextIsCanonicalAndVersioned)
@@ -464,4 +497,22 @@ TEST(StoreKey, SweepAndUploadKeysAreDistinctNamespaces)
     EXPECT_NE(sweep, upload);
     EXPECT_NE(store::sweepKey(ctx, identity, "line", config_key),
               sweep);
+}
+
+TEST(BatchKey, OrderAndFlushSensitive)
+{
+    store::KeyContext ctx;
+    std::vector<std::string> ab = {"cfgA", "cfgB"};
+    std::vector<std::string> ba = {"cfgB", "cfgA"};
+    std::string base = store::batchKey(ctx, "trace-id", ab, false);
+    EXPECT_EQ(base.size(), 16u);
+    // The same cells in a different order are a different batch —
+    // the merge step depends on scatter order.
+    EXPECT_NE(base, store::batchKey(ctx, "trace-id", ba, false));
+    EXPECT_NE(base, store::batchKey(ctx, "trace-id", ab, true));
+    EXPECT_NE(base, store::batchKey(ctx, "other-id", ab, false));
+
+    store::KeyContext newer;
+    newer.apiMinor = ctx.apiMinor + 1;
+    EXPECT_NE(base, store::batchKey(newer, "trace-id", ab, false));
 }

@@ -4,7 +4,6 @@
  *
  * Usage:
  *   jcached [--port N] [--port-file PATH] [--jobs N]
- *           [--coordinator] [--workers HOST:PORT,...]
  *           [--queue N] [--cache N] [--timeout MS]
  *           [--pipeline-cap N]
  *           [--admission-target-ms MS] [--admission-interval-ms MS]
@@ -24,17 +23,12 @@
  * pipelined per connection.  --timeout closes a connection idle that
  * long; --pipeline-cap bounds its unanswered requests.
  *
- * --coordinator with --workers turns the daemon into a shard
- * coordinator (docs/SHARDING.md): sweep and batch grids scatter over
- * the listed worker daemons in chunks, merge byte-identically, and
- * re-scatter around worker failures.  Workers are plain jcached
- * instances; pointing several at one --store-dir is safe (the store
- * serializes cross-process eviction on a lock file).
- *
  * --store-dir opens the persistent result store under the in-memory
  * result cache (docs/STORAGE.md): results survive restarts and are
  * shared with `jcache-sweep --store-dir` runs over the same
  * directory.  --store-cap-bytes bounds it (default 256 MiB).
+ * Pointing several daemons at one --store-dir is safe: the store
+ * serializes cross-process eviction on a lock file.
  *
  * --trace-cache-dir points the daemon's trace repository at a
  * replay-cache directory (docs/ENGINE.md): `digest:` trace
@@ -61,7 +55,6 @@
 
 #include "cli_common.hh"
 #include "service/async_server.hh"
-#include "service/shard.hh"
 #include "sim/sweeps.hh"
 #include "telemetry/http_exporter.hh"
 #include "telemetry/metrics.hh"
@@ -89,7 +82,6 @@ usage()
 {
     std::cerr <<
         "usage: jcached [--port N] [--port-file PATH] [--jobs N]\n"
-        "  [--coordinator] [--workers HOST:PORT,...]\n"
         "  [--queue N] [--cache N] [--timeout MS]\n"
         "  [--pipeline-cap N]\n"
         "  [--admission-target-ms MS] [--admission-interval-ms MS]\n"
@@ -139,20 +131,6 @@ refreshServiceGauges(service::Service& svc)
     reg.gauge("jcache_admission_window_p50_ms",
               "Median sojourn of the admission controller's window")
         .set(snap.admission.windowP50Millis);
-    if (snap.role == "coordinator") {
-        auto healthy = static_cast<double>(std::count_if(
-            snap.workers.begin(), snap.workers.end(),
-            [](const service::WorkerHealth& w) { return w.healthy; }));
-        reg.gauge("jcache_shard_workers_healthy",
-                  "Shard workers currently considered healthy")
-            .set(healthy);
-        reg.gauge("jcache_shard_degraded",
-                  "1 while any shard worker is unhealthy")
-            .set(healthy <
-                         static_cast<double>(snap.workers.size())
-                     ? 1.0
-                     : 0.0);
-    }
     if (snap.storeEnabled) {
         reg.gauge("jcache_store_occupancy_bytes",
                   "Bytes resident in the persistent result store")
@@ -247,8 +225,6 @@ main(int argc, char** argv)
 {
     service::AsyncServerConfig config;
     DaemonOptions opt;
-    bool coordinator = false;
-    std::string workers;
 
     tools::CommonFlags common;
     constexpr unsigned kCommonFlags = tools::kFlagJobs;
@@ -257,10 +233,6 @@ main(int argc, char** argv)
         if (flag == "--version") {
             std::cout << versionLine("jcached") << "\n";
             return 0;
-        }
-        if (flag == "--coordinator") {
-            coordinator = true;
-            continue;
         }
         try {
             if (tools::parseCommonFlag(argc, argv, i, kCommonFlags,
@@ -274,8 +246,6 @@ main(int argc, char** argv)
                     tools::parseUnsigned(value, flag, 65535));
             } else if (flag == "--port-file") {
                 opt.portFile = value;
-            } else if (flag == "--workers" || flag == "--worker") {
-                workers = value;
             } else if (flag == "--queue") {
                 config.service.queueCapacity =
                     tools::parseUnsigned64(value, flag);
@@ -319,20 +289,7 @@ main(int argc, char** argv)
     }
     config.service.executorThreads = common.jobs;
 
-    if (coordinator && workers.empty()) {
-        std::cerr << "error: --coordinator requires --workers\n";
-        return usage();
-    }
-    if (!workers.empty() && !coordinator) {
-        std::cerr << "error: --workers requires --coordinator\n";
-        return usage();
-    }
-
     try {
-        if (coordinator)
-            config.service.shard.workers =
-                service::parseWorkerList(workers);
-
         if (opt.metrics)
             telemetry::setArmed(true);
         if (!opt.traceOut.empty())
@@ -343,10 +300,6 @@ main(int argc, char** argv)
         std::cerr << versionLine("jcached")
                   << ": bootstrapping trace registry...\n";
         sim::TraceSet::extended();
-        if (coordinator)
-            std::cerr << "jcached: coordinating "
-                      << config.service.shard.workers.size()
-                      << " worker(s)\n";
 
         service::AsyncServer server(config);
         return serveDaemon(server, opt);
